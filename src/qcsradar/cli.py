@@ -7,6 +7,7 @@ nonzero after printing a single ``error: <kind>: <reason>`` line to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 
 from .ambiguity import ambiguity_report
-from .evaluation import run_grid, with_overrides
+from .evaluation import run_grid
 from .io import Capture, parse_config, read_capture, write_capture, write_results
 from .quantization import adapted_quantizer, draw_dither, sense
 from .recovery import RecoveryConfig, consistency, pbp, qiht
@@ -97,7 +98,10 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         overrides["master_seed"] = args.seed
     if overrides:
-        config = with_overrides(config, **overrides)
+        try:
+            config = dataclasses.replace(config, **overrides)
+        except ValueError as exc:
+            raise ValueError(f"config: {exc}") from None
     results = run_grid(config, max_workers=args.workers)
     if not results:
         raise ValueError("config: the grid contains no runnable points")

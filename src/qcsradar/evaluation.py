@@ -7,22 +7,31 @@ quantities that should vary them — profiles on (K, trial), plans on
 (M, trial), dithers on (M, b, trial) — so curves that differ only in
 bit-rate or algorithm are compared on common random numbers, mirroring the
 exact saturation plateaus of undithered quantization.
+
+Trials run in chunks (:func:`run_trials`): every trial draws from its own
+sub-seeds and gets its own range-adapted quantizer, then the chunk is sensed
+and recovered as one (T, M) batch within CHUNK_ELEMENTS.
+:func:`run_grid` hands out (grid point, trial chunk) tasks, so a single
+point keeps every worker busy, and adds per-trial results up in trial order,
+so the aggregates do not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .quantization import adapted_quantizer, draw_dither, sense
-from .recovery import RecoveryConfig, pbp, qiht
+from .quantization import Dither, QuantizerConfig, adapted_quantizer, draw_dither, sense
+from .recovery import RecoveryConfig, pbp, qiht_batch
 from .seeding import derive_seed
-from .signal_model import forward, make_sampling_plan, random_profile
+from .signal_model import SamplingPlan, forward, make_sampling_plan, random_profile
 
 __all__ = [
     "ALGORITHMS",
@@ -34,6 +43,7 @@ __all__ = [
     "AggregateResult",
     "tpr",
     "run_trial",
+    "run_trials",
     "run_grid",
 ]
 
@@ -46,6 +56,10 @@ UNQUANTIZED_BITS = 32
 
 # Admissible measurement counts for the evaluation protocol.
 MEAS_RANGE = (2**3, 2**13)
+
+# Most rows x columns (trials x max(M, N)) one chunk of trials holds: larger
+# chunks amortize more per-call overhead but grow each worker's working set.
+CHUNK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -126,6 +140,13 @@ class ExperimentConfig:
             raise ValueError("every sparsity must lie in [1, n_bins]")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
+        # Checked for either algorithm, so that no bad value reaches a worker.
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"mu must be a finite number > 0, got {self.mu!r}")
+        if not 0.0 < self.consistency_target <= 1.0:
+            raise ValueError(f"consistency_target must lie in (0, 1], got {self.consistency_target!r}")
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1 or null, got {self.max_iters!r}")
         for b in self.bit_depths:
             if b is not None and not 1 <= b <= 32:
                 raise ValueError(f"bit depths must be in [1, 32] or unquantized, got {b}")
@@ -186,6 +207,73 @@ def tpr(true_support, estimated_support, sparsity: int) -> float:
     return len(true_support & frozenset(estimated_support)) / sparsity
 
 
+def run_trials(
+    point: GridPoint,
+    trial_indices,
+    master_seed: int,
+    *,
+    n_bins: int = 256,
+    mu: float = 1.0,
+    consistency_target: float = 0.95,
+    max_iters: Optional[int] = None,
+) -> list:
+    """Execute seeded trials of the grid point as one batch; one TrialRecord each.
+
+    Each trial draws its profile, plan, and dither from its own sub-seeds of
+    ``master_seed`` and gets its own range-adapted quantizer; the batch is
+    then sensed, recovered with the point's algorithm, and scored for
+    support recovery and l2 error, trial by trial.
+    """
+    k, m, b = point.sparsity, point.n_meas, point.bit_depth
+    seeds = [
+        (
+            derive_seed(master_seed, "profile", n_bins, k, trial_index),
+            derive_seed(master_seed, "plan", n_bins, m, trial_index),
+            derive_seed(master_seed, "dither", n_bins, m, b, trial_index),
+        )
+        for trial_index in trial_indices
+    ]
+    truth = np.stack([random_profile(n_bins, k, s[0]).amplitudes for s in seeds])
+    omega = np.stack([make_sampling_plan(n_bins, m, s[1]).omega for s in seeds])
+    plan = SamplingPlan(n_bins=n_bins, n_meas=m, omega=omega, seed=None)
+    quantizers = [adapted_quantizer(raw, b, point.effective_dithered) for raw in forward(plan, truth)]
+    quantizer = QuantizerConfig(b, np.array([[q.dynamic_range] for q in quantizers]))
+    dither = None
+    if point.effective_dithered:
+        dither = Dither(np.stack([draw_dither(q, m, s[2]).values for q, s in zip(quantizers, seeds)]))
+    y = sense(plan, quantizer, dither, truth)
+
+    if point.algorithm == "pbp":
+        estimates, iterations = pbp(plan, y, k), [0] * len(seeds)
+    else:
+        recovery = RecoveryConfig(
+            sparsity=k,
+            step_size=mu,
+            max_iters=max_iters,
+            consistency_target=consistency_target,
+        )
+        estimates, iterations, _, _ = qiht_batch(plan, quantizer, dither, y, recovery)
+
+    hits = np.count_nonzero((truth != 0) & (estimates != 0), axis=1)
+    return [
+        TrialRecord(
+            trial_index=trial_index,
+            sparsity=k,
+            bit_depth=b,
+            n_meas=m,
+            dithered=point.effective_dithered,
+            algorithm=point.algorithm,
+            true_positives=int(hits[i]),
+            tpr=int(hits[i]) / k,
+            # The 1-D norm of the row, as a single trial computes it.
+            l2_error=float(np.linalg.norm(truth[i] - estimates[i])),
+            iterations=int(iterations[i]),
+            seed_tuple=seeds[i],
+        )
+        for i, trial_index in enumerate(trial_indices)
+    ]
+
+
 def run_trial(
     point: GridPoint,
     trial_index: int,
@@ -196,54 +284,9 @@ def run_trial(
     consistency_target: float = 0.95,
     max_iters: Optional[int] = None,
 ) -> TrialRecord:
-    """Execute one seeded trial of the grid point.
-
-    Draws the profile, plan, and dither from sub-seeds of ``master_seed``,
-    senses the profile with the range-adapted quantizer, recovers with the
-    point's algorithm, and scores support recovery and l2 error.
-    """
-    k = point.sparsity
-    m = point.n_meas
-    profile_seed = derive_seed(master_seed, "profile", n_bins, k, trial_index)
-    plan_seed = derive_seed(master_seed, "plan", n_bins, m, trial_index)
-    dither_seed = derive_seed(master_seed, "dither", n_bins, m, point.bit_depth, trial_index)
-
-    profile = random_profile(n_bins, k, profile_seed)
-    plan = make_sampling_plan(n_bins, m, plan_seed)
-    raw = forward(plan, profile)
-    quantizer = adapted_quantizer(raw, point.bit_depth, point.effective_dithered)
-    dither = draw_dither(quantizer, m, dither_seed) if point.effective_dithered else None
-    y = sense(plan, quantizer, dither, profile)
-
-    if point.algorithm == "pbp":
-        estimate = pbp(plan, y, k)
-        iterations = 0
-    else:
-        recovery = RecoveryConfig(
-            sparsity=k,
-            step_size=mu,
-            max_iters=max_iters,
-            consistency_target=consistency_target,
-        )
-        result = qiht(plan, quantizer, dither, y, recovery)
-        estimate = result.estimate
-        iterations = result.iterations_run
-
-    true_positives = len(profile.support & estimate.support)
-    l2_error = float(np.linalg.norm(profile.amplitudes - estimate.amplitudes))
-    return TrialRecord(
-        trial_index=trial_index,
-        sparsity=k,
-        bit_depth=point.bit_depth,
-        n_meas=m,
-        dithered=point.effective_dithered,
-        algorithm=point.algorithm,
-        true_positives=true_positives,
-        tpr=true_positives / k,
-        l2_error=l2_error,
-        iterations=iterations,
-        seed_tuple=(profile_seed, plan_seed, dither_seed),
-    )
+    """Execute one seeded trial of the grid point: a batch of one."""
+    options = dict(n_bins=n_bins, mu=mu, consistency_target=consistency_target, max_iters=max_iters)
+    return run_trials(point, [trial_index], master_seed, **options)[0]
 
 
 def point_is_runnable(point: GridPoint) -> tuple:
@@ -254,26 +297,38 @@ def point_is_runnable(point: GridPoint) -> tuple:
     return True, ""
 
 
-def _aggregate_point(config: ExperimentConfig, point: GridPoint) -> AggregateResult:
-    """Run all trials of one point with streaming aggregation."""
+def trial_chunks(config: ExperimentConfig, point: GridPoint) -> list:
+    """The point's trials as even, consecutive ranges within CHUNK_ELEMENTS."""
+    n_chunks = -(-config.trials // max(1, CHUNK_ELEMENTS // max(point.n_meas, config.n_bins)))
+    bounds = [config.trials * i // n_chunks for i in range(n_chunks + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _run_chunk(config: ExperimentConfig, point: GridPoint, trials: range) -> list:
+    """(tpr, l2_error) of each trial of the chunk, in trial order."""
+    records = run_trials(
+        point,
+        trials,
+        config.master_seed,
+        n_bins=config.n_bins,
+        mu=config.mu,
+        consistency_target=config.consistency_target,
+        max_iters=config.max_iters,
+    )
+    return [(record.tpr, record.l2_error) for record in records]
+
+
+def _aggregate(point: GridPoint, outcomes) -> AggregateResult:
+    """Streaming aggregation of (tpr, l2_error) pairs, summed in trial order."""
     n = 0
     tpr_sum = 0.0
     tpr_sq_sum = 0.0
     l2_sum = 0.0
-    for trial_index in range(config.trials):
-        record = run_trial(
-            point,
-            trial_index,
-            config.master_seed,
-            n_bins=config.n_bins,
-            mu=config.mu,
-            consistency_target=config.consistency_target,
-            max_iters=config.max_iters,
-        )
+    for trial_tpr, l2_error in outcomes:
         n += 1
-        tpr_sum += record.tpr
-        tpr_sq_sum += record.tpr * record.tpr
-        l2_sum += record.l2_error
+        tpr_sum += trial_tpr
+        tpr_sq_sum += trial_tpr * trial_tpr
+        l2_sum += l2_error
     mean = tpr_sum / n
     if n > 1:
         var = max(0.0, (tpr_sq_sum - n * mean * mean) / (n - 1))
@@ -289,6 +344,12 @@ def _aggregate_point(config: ExperimentConfig, point: GridPoint) -> AggregateRes
     )
 
 
+def _aggregate_point(config: ExperimentConfig, point: GridPoint) -> AggregateResult:
+    """Run all trials of one point in this process, chunk by chunk."""
+    chunks = trial_chunks(config, point)
+    return _aggregate(point, (outcome for c in chunks for outcome in _run_chunk(config, point, c)))
+
+
 def sort_key(point: GridPoint) -> tuple:
     bits = UNQUANTIZED_BITS if point.bit_depth is None else point.bit_depth
     return (
@@ -301,7 +362,7 @@ def sort_key(point: GridPoint) -> tuple:
     )
 
 
-def _resolve_workers(max_workers: Optional[int], n_points: int) -> int:
+def _resolve_workers(max_workers: Optional[int], n_tasks: int) -> int:
     if max_workers is None:
         max_workers = os.cpu_count() or 1
         cap = os.environ.get("QCS_THREADS")
@@ -310,7 +371,7 @@ def _resolve_workers(max_workers: Optional[int], n_points: int) -> int:
                 max_workers = min(max_workers, int(cap))
             except ValueError:
                 logger.warning("ignoring non-integer QCS_THREADS=%r", cap)
-    return max(1, min(max_workers, n_points))
+    return max(1, min(max_workers, n_tasks))
 
 
 def run_grid(
@@ -320,10 +381,12 @@ def run_grid(
     """Aggregate every runnable grid point; deterministic result order.
 
     Points whose measurement count falls outside MEAS_RANGE are skipped with
-    a warning.  Points run independently (optionally on several worker
-    processes, capped by the QCS_THREADS environment variable); the output
-    is sorted by (algorithm, dithered, bit depth, sparsity, bitrate)
-    regardless of execution order.
+    a warning.  Each point's trials split into chunks (:func:`trial_chunks`)
+    that run independently, on several worker processes when there is more
+    than one chunk (capped by the QCS_THREADS environment variable).
+    Per-trial results are added up in trial order, so the aggregates are the
+    same for any worker count; the output is sorted by (algorithm, dithered,
+    bit depth, sparsity, bitrate).
     """
     runnable = []
     for point in config.grid_points():
@@ -334,22 +397,15 @@ def run_grid(
             logger.warning("skipping grid point (%s): %s", point.describe(), reason)
     runnable.sort(key=sort_key)
 
-    workers = _resolve_workers(max_workers, len(runnable))
-    if workers <= 1 or len(runnable) <= 1:
-        results = []
+    tasks = [(point, chunk) for point in runnable for chunk in trial_chunks(config, point)]
+    workers = _resolve_workers(max_workers, len(tasks))
+    results = []
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        run = map if pool is None else pool.map
+        outcomes = run(_run_chunk, [config] * len(tasks), *zip(*tasks))
         for point in runnable:
-            result = _aggregate_point(config, point)
+            chunks = trial_chunks(config, point)
+            result = _aggregate(point, (outcome for _ in chunks for outcome in next(outcomes)))
             logger.info("%s: mean TPR %.2f%%", point.describe(), result.mean_tpr_pct)
             results.append(result)
-        return results
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_aggregate_point, [config] * len(runnable), runnable))
-    for result in results:
-        logger.info("%s: mean TPR %.2f%%", result.point.describe(), result.mean_tpr_pct)
     return results
-
-
-def with_overrides(config: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    """Functional update helper (configs are frozen)."""
-    return replace(config, **kwargs)

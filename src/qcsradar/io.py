@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,7 +103,7 @@ def parse_config(path) -> ExperimentConfig:
         if key in fields and (isinstance(fields[key], bool) or not isinstance(fields[key], int)):
             raise _config_error(f"{key} must be an integer")
     for key in ("mu", "consistency_target"):
-        if key in fields and not isinstance(fields[key], (int, float)):
+        if key in fields and (isinstance(fields[key], bool) or not isinstance(fields[key], (int, float))):
             raise _config_error(f"{key} must be a number")
     if "max_iters" in fields and fields["max_iters"] is not None:
         if isinstance(fields["max_iters"], bool) or not isinstance(fields["max_iters"], int):
@@ -256,8 +257,28 @@ def _snap_to_grid(samples: np.ndarray, step: float, path) -> np.ndarray:
     return (np.round(re_cells) * step + half) + 1j * (np.round(im_cells) * step + half)
 
 
+def _field(mapping: dict, key: str, kind: type, where: str = "sidecar"):
+    """A required JSON integer (``kind=int``) or finite number, as a float (``kind=float``)."""
+    if key not in mapping:
+        raise _capture_error(f"{where} is missing field {key!r}")
+    value = mapping[key]
+    ok = isinstance(value, (int, kind)) and not isinstance(value, bool)
+    if ok and kind is float:
+        # Comparing first keeps a huge JSON integer from overflowing float().
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+        ok = math.isfinite(value)
+    if not ok:
+        expected = "an integer" if kind is int else "a finite number"
+        raise _capture_error(f"{where} field {key!r} must be {expected}, got {value!r}")
+    return value
+
+
 def read_capture(path) -> Capture:
-    """Load a capture; regenerates the dither when stored as a seed."""
+    """Load a capture; regenerates the dither when stored as a seed.
+
+    The capture validation boundary: a malformed sidecar or payload raises
+    ``ValueError("capture: ...")`` here, before any recovery can run.
+    """
     sidecar_path = _sidecar_path(path)
     try:
         with open(sidecar_path, "r", encoding="utf-8") as fh:
@@ -272,73 +293,69 @@ def read_capture(path) -> Capture:
     except FileNotFoundError:
         raise _capture_error(f"missing payload {path}") from None
 
+    if not isinstance(sidecar, dict):
+        raise _capture_error("sidecar must be a JSON object")
     version = sidecar.get("schema_version")
     if version != CAPTURE_SCHEMA_VERSION:
         raise _capture_error(f"unknown schema version {version!r}")
-
-    try:
-        n_bins = int(sidecar["n_bins"])
-        n_meas = int(sidecar["n_meas"])
-        bit_depth = sidecar["bit_depth"]
-        dynamic_range = float(sidecar["dynamic_range"])
-        radar_raw = sidecar["radar"]
-    except KeyError as exc:
-        raise _capture_error(f"sidecar is missing field {exc}") from None
-
-    bit_depth = None if bit_depth in (None, "unquantized") else int(bit_depth)
-
-    if "omega" in sidecar:
-        plan = SamplingPlan(
-            n_bins=n_bins,
-            n_meas=n_meas,
-            omega=np.asarray(sidecar["omega"], dtype=np.int64),
-            seed=int(sidecar.get("plan_seed", 0)),
-        )
-    elif "plan_seed" in sidecar:
-        plan = make_sampling_plan(n_bins, n_meas, int(sidecar["plan_seed"]))
+    n_bins = _field(sidecar, "n_bins", int)
+    n_meas = _field(sidecar, "n_meas", int)
+    if "bit_depth" in sidecar and sidecar["bit_depth"] in (None, "unquantized"):
+        bit_depth = None
     else:
+        bit_depth = _field(sidecar, "bit_depth", int)
+    dynamic_range = _field(sidecar, "dynamic_range", float)
+    radar_raw = sidecar.get("radar")
+    if not isinstance(radar_raw, dict):
+        raise _capture_error(f"sidecar field 'radar' must be an object, got {radar_raw!r}")
+    radar_fields = {key: _field(radar_raw, key, float, "radar") for key in ("f0", "bandwidth", "ramp_duration")}
+    radar_fields["n_bins"] = _field(radar_raw, "n_bins", int, "radar")
+    if "omega" not in sidecar and "plan_seed" not in sidecar:
         raise _capture_error("sidecar must carry either omega or plan_seed")
+    plan_seed = _field(sidecar, "plan_seed", int) if "plan_seed" in sidecar else 0
+    dither_field = sidecar.get("dither")
+    dither_seed = delta = None
+    if dither_field is not None:
+        if bit_depth is None:
+            raise _capture_error("unquantized capture cannot carry a dither")
+        if not isinstance(dither_field, dict) or not ("values" in dither_field or "seed" in dither_field):
+            raise _capture_error("dither field must carry either seed or values")
+        if "values" not in dither_field:
+            dither_seed = _field(dither_field, "seed", int, "dither")
+            delta = _field(dither_field, "delta", float, "dither") if "delta" in dither_field else None
 
-    quantizer = QuantizerConfig(bit_depth=bit_depth, dynamic_range=dynamic_range)
+    # The fields are type-checked; the constructors check their ranges.
+    try:
+        if "omega" in sidecar:
+            omega = np.asarray(sidecar["omega"], dtype=np.int64)
+            plan = SamplingPlan(n_bins=n_bins, n_meas=n_meas, omega=omega, seed=plan_seed)
+        else:
+            plan = make_sampling_plan(n_bins, n_meas, plan_seed)
+        quantizer = QuantizerConfig(bit_depth=bit_depth, dynamic_range=dynamic_range)
+        radar = RadarParams(**radar_fields)
+        dither = None
+        if dither_seed is not None:
+            dither = draw_dither(quantizer, n_meas, dither_seed)
+        elif dither_field is not None:
+            values = [complex(re, im) for re, im in dither_field["values"]]
+            dither = Dither(values=np.asarray(values, dtype=np.complex128), seed=None)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _capture_error(str(exc)) from None
 
+    if delta is not None and not math.isclose(delta, quantizer.step, rel_tol=1e-9):
+        raise _capture_error(f"dither delta {delta!r} inconsistent with quantizer step {quantizer.step!r}")
+    if radar.n_bins != plan.n_bins:
+        raise _capture_error(f"radar n_bins={radar.n_bins} differs from the plan's n_bins={plan.n_bins}")
     if len(payload) != 8 * n_meas:
         raise _capture_error(
             f"payload holds {len(payload) // 8} samples "
             f"({len(payload)} bytes), sidecar says n_meas={n_meas}"
         )
     samples = np.frombuffer(payload, dtype="<c8").astype(np.complex128)
-
-    dither_field = sidecar.get("dither")
-    dither = None
-    if dither_field is not None:
-        if not quantizer.quantized:
-            raise _capture_error("unquantized capture cannot carry a dither")
-        if "values" in dither_field:
-            values = np.asarray(
-                [complex(re, im) for re, im in dither_field["values"]], dtype=np.complex128
-            )
-            if values.size != n_meas:
-                raise _capture_error(
-                    f"dither holds {values.size} values, sidecar says n_meas={n_meas}"
-                )
-            dither = Dither(values=values, seed=None)
-        elif "seed" in dither_field:
-            delta = float(dither_field.get("delta", quantizer.step))
-            if not math.isclose(delta, quantizer.step, rel_tol=1e-9):
-                raise _capture_error(
-                    f"dither delta {delta!r} inconsistent with quantizer step {quantizer.step!r}"
-                )
-            dither = draw_dither(quantizer, n_meas, int(dither_field["seed"]))
-        else:
-            raise _capture_error("dither field must carry either seed or values")
-
+    if not np.all(np.isfinite(samples)):
+        raise _capture_error("payload holds non-finite samples")
+    if dither is not None and (dither.n_meas != n_meas or not np.all(np.isfinite(dither.values))):
+        raise _capture_error(f"dither must hold {n_meas} finite values")
     if quantizer.quantized:
         samples = _snap_to_grid(samples, quantizer.step, path)
-
-    radar = RadarParams(
-        f0=float(radar_raw["f0"]),
-        bandwidth=float(radar_raw["bandwidth"]),
-        ramp_duration=float(radar_raw["ramp_duration"]),
-        n_bins=int(radar_raw["n_bins"]),
-    )
     return Capture(plan=plan, quantizer=quantizer, dither=dither, samples=samples, radar=radar)

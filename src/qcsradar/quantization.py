@@ -6,12 +6,16 @@ The step is delta = 2**(1-b) * Delta for bit depth b and dynamic range
 [-Delta, Delta]; at b = 1 the quantizer reduces to a voltage comparator.
 Inputs beyond +-Delta are not clipped: the dynamic range is adapted to the
 signal (plus half a step of dither headroom) rather than saturating.
+
+Quantization and sensing take a leading trial axis: a quantizer whose
+dynamic range is a (T, 1) column quantizes row i of (T, M) values with its
+own step, and a (T, M) dither stacks the dithers of T trials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -36,16 +40,17 @@ class QuantizerConfig:
 
     ``bit_depth=None`` models unquantized (full-resolution) acquisition; the
     dynamic range is then only bookkeeping.  Bit-rate accounting maps the
-    unquantized mode to 32 bits per component.
+    unquantized mode to 32 bits per component.  A (T, 1) column of dynamic
+    ranges (and so of steps) serves a stack of T trials.
     """
 
     bit_depth: Optional[int]
-    dynamic_range: float
+    dynamic_range: Union[float, np.ndarray]
 
     def __post_init__(self):
         if self.bit_depth is not None and not 1 <= self.bit_depth <= 32:
             raise ValueError(f"bit_depth must be None or in [1, 32], got {self.bit_depth}")
-        if not self.dynamic_range > 0:
+        if not np.all(np.asarray(self.dynamic_range) > 0):
             raise ValueError("dynamic_range must be > 0")
 
     @property
@@ -66,21 +71,24 @@ class QuantizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class Dither:
-    """Complex dither vector; real/imag parts uniform on (-delta/2, delta/2)."""
+    """Complex dither vector; real/imag parts uniform on (-delta/2, delta/2).
+
+    Unseeded (T, M) values stack the dithers of T trials.
+    """
 
     values: np.ndarray
     seed: Optional[int] = None
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.complex128)
-        if vals.ndim != 1:
-            raise ValueError("dither values must be a 1-D complex vector")
+        if vals.ndim != 1 and (vals.ndim != 2 or self.seed is not None):
+            raise ValueError("dither values must be a 1-D complex vector (or an unseeded stack)")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property
     def n_meas(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
 
 def _midrise(values: np.ndarray, step: float) -> np.ndarray:

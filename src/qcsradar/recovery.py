@@ -11,12 +11,19 @@ from the back-projection estimate, where A re-applies the acquisition map
 not guaranteed to converge; it runs at least MIN_STOP_ITERS iterations and at
 most the configured budget, stopping early once the consistency with the
 observed bits reaches the target or strictly decreases.
+
+Both estimators take a leading trial axis: (T, M) measurements through a
+stacked plan, quantizer and dither are T independent trials, and each row
+follows exactly the iteration and stop rule of a single trial
+(:func:`qiht_batch`).  A row that stops leaves the batch, so later
+iterations only pay for the rows still running.  :func:`pbp` and
+:func:`qiht` are the single-trial case.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -33,6 +40,7 @@ __all__ = [
     "pbp",
     "consistency",
     "qiht",
+    "qiht_batch",
 ]
 
 # Early-stop rules only engage after this many iterations; the iteration
@@ -82,25 +90,31 @@ class RecoveryResult:
 
 
 def hard_threshold(values: np.ndarray, sparsity: int) -> np.ndarray:
-    """Keep the K largest-modulus components, zero the rest.
+    """Keep the K largest-modulus components (of each row), zero the rest.
 
     Ties at the K-th modulus are broken toward the lowest index, so the
     result is deterministic.
     """
     v = np.asarray(values, dtype=np.complex128)
-    if not 1 <= sparsity <= v.size:
-        raise ValueError(f"sparsity must be in [1, {v.size}], got {sparsity}")
+    n = v.shape[-1]
+    if not 1 <= sparsity <= n:
+        raise ValueError(f"sparsity must be in [1, {n}], got {sparsity}")
+    rows = v.reshape(-1, n)
     # Stable sort on descending modulus keeps the lowest index among ties.
-    keep = np.argsort(-np.abs(v), kind="stable")[:sparsity]
-    out = np.zeros_like(v)
-    out[keep] = v[keep]
-    return out
+    keep = np.argsort(-np.abs(rows), kind="stable")[:, :sparsity] + n * np.arange(len(rows))[:, None]
+    flat = rows.ravel()
+    out = np.zeros_like(flat)
+    out[keep] = flat[keep]
+    return out.reshape(v.shape)
 
 
-def pbp(plan: SamplingPlan, measurements: np.ndarray, sparsity: int) -> RangeProfile:
-    """Projected back projection: H_K(adjoint(y) / M)."""
-    back = adjoint(plan, measurements) / plan.n_meas
-    return RangeProfile(hard_threshold(back, sparsity))
+def pbp(plan: SamplingPlan, measurements: np.ndarray, sparsity: int):
+    """Projected back projection: H_K(adjoint(y) / M).
+
+    A RangeProfile for one trial; a (T, N) array for a stacked plan.
+    """
+    back = hard_threshold(adjoint(plan, measurements) / plan.n_meas, sparsity)
+    return RangeProfile(back) if back.ndim == 1 else back
 
 
 def consistency(
@@ -122,6 +136,97 @@ def consistency(
     if y.shape != (plan.n_meas,):
         raise ValueError(f"measurement length {y.shape} does not match n_meas={plan.n_meas}")
     return float(np.mean(sense(plan, config, dither, estimate) == y))
+
+
+def _scores(y: np.ndarray, y_hat: np.ndarray, quantized: bool) -> np.ndarray:
+    """Per-row QIHT stopping score: consistency, or minus the residual norm."""
+    if quantized:
+        return (y_hat == y).sum(axis=1) / y.shape[1]
+    # One 1-D norm per row: an ``axis=`` norm sums in another order, and the
+    # stop rule compares scores for exact equality.
+    return np.array([-float(np.linalg.norm(r)) for r in y - y_hat])
+
+
+def qiht_batch(
+    plan: SamplingPlan,
+    config: QuantizerConfig,
+    dither: Optional[Dither],
+    measurements: np.ndarray,
+    recovery: RecoveryConfig,
+) -> tuple:
+    """QIHT on T trials at once: (T, M) measurements through a stacked plan.
+
+    Each row runs the iteration and stop rule documented in :func:`qiht`.
+    Returns (estimates (T, N), iterations run (T,), final consistency (T,),
+    stop reasons (list of T)), in row order.
+    """
+    y = np.asarray(measurements, dtype=np.complex128)
+    if y.ndim != 2 or y.shape != plan.omega.shape:
+        raise ValueError(f"measurement length {y.shape} does not match n_meas={plan.n_meas}")
+    if not config.quantized and dither is not None:
+        raise ValueError("unquantized recovery does not accept a dither")
+    if dither is not None and dither.values.shape != y.shape:
+        raise ValueError(f"dither length {dither.n_meas} does not match n_meas={plan.n_meas}")
+
+    quantized = config.quantized
+    k = recovery.sparsity
+    mu = recovery.step_size
+    budget = recovery.resolved_max_iters()
+    m = plan.n_meas
+    t = len(y)
+    estimates = np.zeros((t, plan.n_bins), dtype=np.complex128)
+    iterations = np.full(t, budget)
+    final = np.zeros(t)
+    reasons = [StopReason.BUDGET] * t
+    rows = np.arange(t)  # batch row of each running row
+
+    def stop(mask, chosen, consistency_of, reason, j):
+        for i in np.flatnonzero(mask):
+            estimates[rows[i]], iterations[rows[i]] = chosen[i], j
+            final[rows[i]], reasons[rows[i]] = consistency_of[i], reason
+
+    current = pbp(plan, y, k)  # start from the back projection
+    y_hat = sense(plan, config, dither, current)
+    score = prev_score = _scores(y, y_hat, quantized)
+    match = score if quantized else _scores(y, y_hat, True)
+    best, best_score, best_match = current, score, match
+    for j in range(budget + 1):
+        if j:
+            current = hard_threshold(current + (mu / m) * adjoint(plan, y - y_hat), k)
+            y_hat = sense(plan, config, dither, current)
+            score = _scores(y, y_hat, quantized)
+            match = score if quantized else _scores(y, y_hat, True)
+            better = score > best_score
+            if better.any():
+                best = np.where(better[:, None], current, best)
+                best_score = np.where(better, score, best_score)
+                best_match = np.where(better, match, best_match)
+        late = j >= MIN_STOP_ITERS
+        # Perfect consistency is a fixed point (the update vanishes), so it
+        # stops at once; the other rules wait for MIN_STOP_ITERS.
+        if quantized:
+            done = (score == 1.0) | (score >= recovery.consistency_target) if late else score == 1.0
+        else:
+            done = score == 0.0 if late or j == 0 else np.zeros(len(y), dtype=bool)
+        stopped = done | (score < prev_score) if late else done
+        if stopped.any():
+            stop(done, current, match, StopReason.CONSISTENCY_TARGET, j)
+            stop(stopped & ~done, best, best_match, StopReason.CONSISTENCY_DROP, j)
+            running = ~stopped
+            if not running.any():
+                break
+            rows, y, y_hat, current = rows[running], y[running], y_hat[running], current[running]
+            best, best_score, best_match = best[running], best_score[running], best_match[running]
+            score = score[running]
+            plan = replace(plan, omega=plan.omega[running])
+            if np.ndim(config.dynamic_range):
+                config = replace(config, dynamic_range=config.dynamic_range[running])
+            if dither is not None:
+                dither = Dither(dither.values[running])
+        prev_score = score
+    else:
+        stop(np.ones(len(y), dtype=bool), best, best_match, StopReason.BUDGET, budget)
+    return estimates, iterations, final, reasons
 
 
 def qiht(
@@ -147,60 +252,10 @@ def qiht(
     y = np.asarray(measurements, dtype=np.complex128)
     if y.shape != (plan.n_meas,):
         raise ValueError(f"measurement length {y.shape} does not match n_meas={plan.n_meas}")
-    if not config.quantized and dither is not None:
-        raise ValueError("unquantized recovery does not accept a dither")
-    if config.quantized and dither is not None and dither.n_meas != plan.n_meas:
+    if dither is not None and config.quantized and dither.n_meas != plan.n_meas:
         raise ValueError(f"dither length {dither.n_meas} does not match n_meas={plan.n_meas}")
-
-    k = recovery.sparsity
-    mu = recovery.step_size
-    budget = recovery.resolved_max_iters()
-    m = plan.n_meas
-
-    def reacquire(amps: np.ndarray) -> np.ndarray:
-        return sense(plan, config, dither, amps)
-
-    def score_of(y_hat: np.ndarray) -> float:
-        if config.quantized:
-            return float(np.mean(y_hat == y))
-        return -float(np.linalg.norm(y - y_hat))
-
-    def reached_target(score: float) -> bool:
-        if config.quantized:
-            return score >= recovery.consistency_target
-        return score == 0.0  # exact residual zero
-
-    def match_fraction(y_hat: np.ndarray) -> float:
-        return float(np.mean(y_hat == y))
-
-    current = pbp(plan, y, k).amplitudes  # start from the back projection
-    y_hat = reacquire(current)
-    score = score_of(y_hat)
-    best, best_score, best_match = current, score, match_fraction(y_hat)
-
-    if config.quantized and score == 1.0:
-        return RecoveryResult(RangeProfile(current), 0, 1.0, StopReason.CONSISTENCY_TARGET)
-    if not config.quantized and score == 0.0:
-        return RecoveryResult(RangeProfile(current), 0, best_match, StopReason.CONSISTENCY_TARGET)
-
-    prev_score = score
-    iterations = 0
-    for j in range(1, budget + 1):
-        current = hard_threshold(current + (mu / m) * adjoint(plan, y - y_hat), k)
-        y_hat = reacquire(current)
-        score = score_of(y_hat)
-        iterations = j
-        if score > best_score:
-            best, best_score, best_match = current, score, match_fraction(y_hat)
-        if config.quantized and score == 1.0:
-            return RecoveryResult(RangeProfile(current), j, 1.0, StopReason.CONSISTENCY_TARGET)
-        if j >= MIN_STOP_ITERS:
-            if reached_target(score):
-                return RecoveryResult(
-                    RangeProfile(current), j, match_fraction(y_hat), StopReason.CONSISTENCY_TARGET
-                )
-            if score < prev_score:
-                return RecoveryResult(RangeProfile(best), j, best_match, StopReason.CONSISTENCY_DROP)
-        prev_score = score
-
-    return RecoveryResult(RangeProfile(best), iterations, best_match, StopReason.BUDGET)
+    stacked_dither = None if dither is None else Dither(dither.values[None])
+    (estimate,), (iterations,), (final,), (reason,) = qiht_batch(
+        replace(plan, omega=plan.omega[None]), config, stacked_dither, y[None], recovery
+    )
+    return RecoveryResult(RangeProfile(estimate), int(iterations), float(final), reason)

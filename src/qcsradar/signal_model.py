@@ -5,13 +5,18 @@ time sample of the demodulated baseband signal probes one row of the DFT of
 that profile.  A sampling plan selects which frequency rows are observed
 (possibly with repetitions when more than one ramp is sampled), giving the
 partial-Fourier forward operator and its adjoint.
+
+Both operators take a leading trial axis: a plan whose ``omega`` stacks T
+rows maps (T, N) profiles to (T, M) measurements and back, row i through
+plan row i, with the arithmetic a single-trial call does on that row.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -104,20 +109,25 @@ class SamplingPlan:
 
     ``omega`` is a multiset of M frequency indices in {0..N-1}.  Order is
     preserved so each measurement stays paired with its dither component.
+    A (T, M) ``omega`` stacks the plans of T trials; a stack needs no seed.
     """
 
     n_bins: int
     n_meas: int
     omega: np.ndarray
-    seed: int
+    seed: Optional[int]
 
     def __post_init__(self):
         omega = np.asarray(self.omega, dtype=np.int64)
-        if omega.shape != (self.n_meas,):
+        if omega.ndim not in (1, 2) or omega.shape[-1] != self.n_meas:
             raise ValueError("omega must hold exactly n_meas indices")
         if omega.size and (omega.min() < 0 or omega.max() >= self.n_bins):
             raise ValueError("omega indices must lie in [0, n_bins)")
         object.__setattr__(self, "omega", _readonly(omega))
+        # Row i's indices offset by i*N into the flattened (T, N) spectrum,
+        # so one gather or one bincount serves every row of a stack.
+        flat = omega if omega.ndim == 1 else omega + self.n_bins * np.arange(len(omega))[:, None]
+        object.__setattr__(self, "_flat", flat)
 
     def to_json(self) -> dict:
         return {
@@ -164,11 +174,11 @@ def make_sampling_plan(n_bins: int, n_meas: int, seed: int) -> SamplingPlan:
     return SamplingPlan(n_bins=n_bins, n_meas=n_meas, omega=omega, seed=int(seed))
 
 
-def _as_amplitudes(profile: ProfileLike, n_bins: int) -> np.ndarray:
+def _as_amplitudes(profile: ProfileLike, plan: SamplingPlan) -> np.ndarray:
     amps = profile.amplitudes if isinstance(profile, RangeProfile) else profile
     amps = np.asarray(amps, dtype=np.complex128)
-    if amps.shape != (n_bins,):
-        raise ValueError(f"profile length {amps.shape} does not match n_bins={n_bins}")
+    if amps.shape != plan.omega.shape[:-1] + (plan.n_bins,):
+        raise ValueError(f"profile length {amps.shape} does not match n_bins={plan.n_bins}")
     return amps
 
 
@@ -179,8 +189,7 @@ def forward(plan: SamplingPlan, profile: ProfileLike) -> np.ndarray:
     ordered as ``plan.omega``.  Computed as one size-N FFT followed by a
     gather, so repeated frequencies cost O(1) each.
     """
-    amps = _as_amplitudes(profile, plan.n_bins)
-    return np.fft.fft(amps)[plan.omega]
+    return np.fft.fft(_as_amplitudes(profile, plan)).ravel()[plan._flat]
 
 
 def adjoint(plan: SamplingPlan, measurements: np.ndarray) -> np.ndarray:
@@ -188,15 +197,17 @@ def adjoint(plan: SamplingPlan, measurements: np.ndarray) -> np.ndarray:
 
     Returns the N-vector with components sum_j y[j] exp(+i 2 pi omega[j] n / N).
     Measurements sharing a frequency index are accumulated into one spectral
-    bin before a single size-N inverse transform: O(M + N log N).
+    bin, in acquisition order, before a single size-N inverse transform:
+    O(M + N log N).
     """
     y = np.asarray(measurements, dtype=np.complex128)
-    if y.shape != (plan.n_meas,):
+    if y.shape != plan.omega.shape:
         raise ValueError(f"measurement length {y.shape} does not match n_meas={plan.n_meas}")
-    spectrum = np.bincount(plan.omega, weights=y.real, minlength=plan.n_bins) + 1j * np.bincount(
-        plan.omega, weights=y.imag, minlength=plan.n_bins
+    bins, size = plan._flat.ravel(), math.prod(y.shape[:-1]) * plan.n_bins
+    spectrum = np.bincount(bins, weights=y.real.ravel(), minlength=size) + 1j * np.bincount(
+        bins, weights=y.imag.ravel(), minlength=size
     )
-    return plan.n_bins * np.fft.ifft(spectrum)
+    return plan.n_bins * np.fft.ifft(spectrum.reshape(y.shape[:-1] + (plan.n_bins,)))
 
 
 def random_profile(n_bins: int, sparsity: int, rng) -> RangeProfile:

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from qcsradar.cli import main
 
@@ -77,6 +78,30 @@ class TestRecover:
         assert report["algorithm"] == "pbp"
         assert 0.0 <= report["final_consistency"] <= 1.0
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda side, payload: ([side], payload),  # not a JSON object
+            lambda side, payload: (dict(side, radar=None), payload),
+            lambda side, payload: (dict(side, radar={k: v for k, v in side["radar"].items() if k != "bandwidth"}), payload),
+            lambda side, payload: (dict(side, bit_depth="x"), payload),
+            lambda side, payload: (dict(side, bit_depth=1.5), payload),
+            lambda side, payload: (dict(side, radar=dict(side["radar"], n_bins=128)), payload),
+            lambda side, payload: (side, np.concatenate([[complex(np.nan, 0.0)], payload[1:]])),
+            lambda side, payload: (side, np.concatenate([payload[:-1], [complex(0.0, np.inf)]])),
+        ],
+    )
+    def test_malformed_capture_rejected_before_recovery(self, tmp_path, capsys, mutate):
+        out = tmp_path / "cap.iq"
+        run_cli(capsys, "gen-capture", "--out", str(out), "--meas", "512", "--seed", "1")
+        sidecar = json.loads((tmp_path / "cap.iq.json").read_text())
+        sidecar, payload = mutate(sidecar, np.fromfile(out, dtype="<c8"))
+        (tmp_path / "cap.iq.json").write_text(json.dumps(sidecar))
+        payload.astype("<c8").tofile(out)
+        code, stdout, stderr = run_cli(capsys, "recover", "--capture", str(out), "--sparsity", "2")
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: capture:") and stderr.count("\n") == 1
+
     def test_missing_capture_fails_cleanly(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             capsys, "recover", "--capture", str(tmp_path / "nope.iq"), "--sparsity", "2"
@@ -149,6 +174,27 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert stderr.startswith("error: config:")
+
+    @pytest.mark.parametrize(
+        "overrides, argv",
+        [
+            ({"algorithm": "qiht", "mu": -1}, []),
+            ({"mu": float("nan")}, []),
+            ({"consistency_target": 7}, []),
+            ({"algorithm": "qiht", "consistency_target": 0}, []),
+            ({"max_iters": 0}, []),
+            ({}, ["--trials", "0"]),
+            ({}, ["--seed", "3", "--trials", "-2"]),
+        ],
+    )
+    def test_bad_values_rejected_before_any_trial(self, tmp_path, capsys, overrides, argv):
+        cfg = self._write_config(tmp_path, **overrides)
+        code, _, stderr = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv"), *argv
+        )
+        assert code == 1
+        assert stderr.startswith("error: config:") and stderr.count("\n") == 1
+        assert not (tmp_path / "r.csv").exists()
 
     def test_all_points_out_of_range_fails_cleanly(self, tmp_path, capsys):
         # every (b, bitrate) pair lands outside the admissible M range

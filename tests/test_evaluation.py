@@ -112,6 +112,12 @@ class TestExperimentConfig:
             ExperimentConfig(trials=0)
         with pytest.raises(ValueError):
             ExperimentConfig(bit_depths=(0,))
+        for algorithm in ("pbp", "qiht"):
+            for bad in (dict(mu=0.0), dict(mu=-1.0), dict(mu=float("nan")), dict(mu=float("inf")),
+                        dict(consistency_target=0.0), dict(consistency_target=1.5),
+                        dict(consistency_target=float("nan")), dict(max_iters=0)):
+                with pytest.raises(ValueError):
+                    ExperimentConfig(algorithm=algorithm, **bad)
 
     def test_grid_points_cover_product(self):
         config = ExperimentConfig(sparsities=(2, 4), bit_depths=(1,), bitrates=(64, 128), trials=1)
