@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .quantization import Dither, QuantizerConfig, draw_dither, sense
+from .quantization import Dither, QuantizerConfig, adapted_quantizer, draw_dither, sense
 from .seeding import derive_seed
 from .signal_model import RangeProfile, SamplingPlan, forward, make_sampling_plan
 
@@ -120,17 +120,6 @@ def ambiguity_holds(
     return bool(np.array_equal(y_base, y_alt))
 
 
-def _pair_quantizer(plan: SamplingPlan, pair: AmbiguousPair, bit_depth: int, dithered: bool) -> QuantizerConfig:
-    # Range must cover whichever of the two scenes is observed.
-    peak = max(
-        float(np.max(np.abs(forward(plan, pair.base)))),
-        float(np.max(np.abs(forward(plan, pair.alternate)))),
-    )
-    if dithered:
-        peak = peak / (1.0 - 2.0 ** (-bit_depth))
-    return QuantizerConfig(bit_depth=bit_depth, dynamic_range=peak)
-
-
 def ambiguity_report(
     n_bins: int,
     bin_base: int,
@@ -148,16 +137,20 @@ def ambiguity_report(
     Returns {"margin", "condition_holds", "undithered_AC", "dithered_AC_rate",
     "n_seeds"}: the quadrant margin of the base scene, whether it exceeds
     gamma, whether the undithered quantized observations coincide, and the
-    fraction of dither seeds for which they still coincide.
+    fraction of dither seeds for which they still coincide.  Every argument
+    is checked before the first dither draw.
     """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     pair = build_pair(n_bins, bin_base, bin_extra, phase_base, phase_extra, gamma)
     plan = make_sampling_plan(n_bins, n_meas, derive_seed(seed, "ambiguity-plan", n_bins, n_meas))
+    # The range must cover whichever of the two scenes is observed.
+    both = np.concatenate([forward(plan, pair.base), forward(plan, pair.alternate)])
+    undithered_cfg = adapted_quantizer(both, bit_depth, dithered=False)
+    dithered_cfg = adapted_quantizer(both, bit_depth, dithered=True)
+
     margin = quadrant_margin(plan, pair.base)
-
-    undithered_cfg = _pair_quantizer(plan, pair, bit_depth, dithered=False)
     undithered = ambiguity_holds(plan, undithered_cfg, pair, dither=None)
-
-    dithered_cfg = _pair_quantizer(plan, pair, bit_depth, dithered=True)
     hits = 0
     for s in range(n_seeds):
         dither = draw_dither(dithered_cfg, n_meas, derive_seed(seed, "ambiguity-dither", s))
@@ -167,6 +160,6 @@ def ambiguity_report(
         "margin": margin,
         "condition_holds": bool(margin > gamma),
         "undithered_AC": bool(undithered),
-        "dithered_AC_rate": hits / n_seeds if n_seeds else 0.0,
+        "dithered_AC_rate": hits / n_seeds,
         "n_seeds": n_seeds,
     }

@@ -7,6 +7,7 @@ nonzero after printing a single ``error: <kind>: <reason>`` line to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -16,7 +17,7 @@ import numpy as np
 
 from .ambiguity import ambiguity_report
 from .evaluation import run_grid
-from .io import Capture, parse_config, read_capture, write_capture, write_results
+from .io import Capture, _parse_bit_depth, parse_config, read_capture, write_capture, write_results
 from .quantization import adapted_quantizer, draw_dither, sense
 from .recovery import RecoveryConfig, consistency, pbp, qiht
 from .seeding import derive_seed
@@ -81,6 +82,15 @@ def _add_gen_capture(subparsers):
     p.add_argument("--ramp-duration", type=float, default=1e-3, help="ramp duration (s)")
 
 
+@contextlib.contextmanager
+def _argument_errors():
+    """Report a ValueError raised while checking argv as a ``config:`` error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"config: {exc}") from None
+
+
 def _emit(payload: dict, out_path) -> None:
     text = json.dumps(payload, sort_keys=True)
     if out_path is None:
@@ -111,25 +121,36 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ambiguity(args) -> int:
-    report = ambiguity_report(
-        n_bins=args.n,
-        bin_base=args.n0,
-        bin_extra=args.n1,
-        phase_base=args.psi0,
-        phase_extra=args.psi1,
-        gamma=args.gamma,
-        n_meas=args.meas,
-        n_seeds=args.seeds,
-        seed=args.seed,
-        bit_depth=args.bits,
-    )
+    # ambiguity_report checks every argument before its first dither draw.
+    with _argument_errors():
+        report = ambiguity_report(
+            n_bins=args.n,
+            bin_base=args.n0,
+            bin_extra=args.n1,
+            phase_base=args.psi0,
+            phase_extra=args.psi1,
+            gamma=args.gamma,
+            n_meas=args.meas,
+            n_seeds=args.seeds,
+            seed=args.seed,
+            bit_depth=args.bits,
+        )
     print(json.dumps(report, sort_keys=True))
     return 0
 
 
 def _cmd_recover(args) -> int:
+    with _argument_errors():
+        recovery = RecoveryConfig(
+            sparsity=args.sparsity,
+            step_size=args.mu,
+            max_iters=args.max_iters,
+            consistency_target=args.target,
+        )
     capture = read_capture(args.capture)
     plan, quantizer, dither = capture.plan, capture.quantizer, capture.dither
+    if args.sparsity > plan.n_bins:
+        raise ValueError(f"config: sparsity must be in [1, {plan.n_bins}] for this capture, got {args.sparsity}")
     if args.algo == "pbp":
         estimate = pbp(plan, capture.samples, args.sparsity)
         iterations = 0
@@ -140,12 +161,6 @@ def _cmd_recover(args) -> int:
             else None
         )
     else:
-        recovery = RecoveryConfig(
-            sparsity=args.sparsity,
-            step_size=args.mu,
-            max_iters=args.max_iters,
-            consistency_target=args.target,
-        )
         result = qiht(plan, quantizer, dither, capture.samples, recovery)
         estimate = result.estimate
         iterations = result.iterations_run
@@ -172,22 +187,21 @@ def _cmd_recover(args) -> int:
     return 0
 
 
-def _parse_bits(text: str):
-    if text in ("unquantized", "none"):
-        return None
+def _int_or_text(text: str):
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"config: --bits must be an integer or 'unquantized', got {text!r}") from None
+        return text
 
 
 def _cmd_gen_capture(args) -> int:
-    bits = _parse_bits(args.bits)
-    radar = RadarParams(
-        f0=args.f0, bandwidth=args.bandwidth, ramp_duration=args.ramp_duration, n_bins=args.n
-    )
-    profile = random_profile(args.n, args.sparsity, derive_seed(args.seed, "capture-profile"))
-    plan = make_sampling_plan(args.n, args.meas, derive_seed(args.seed, "capture-plan"))
+    bits = _parse_bit_depth(_int_or_text(args.bits), "--bits values")
+    with _argument_errors():
+        radar = RadarParams(
+            f0=args.f0, bandwidth=args.bandwidth, ramp_duration=args.ramp_duration, n_bins=args.n
+        )
+        profile = random_profile(args.n, args.sparsity, derive_seed(args.seed, "capture-profile"))
+        plan = make_sampling_plan(args.n, args.meas, derive_seed(args.seed, "capture-plan"))
     raw = forward(plan, profile)
     dithered = args.dithered and bits is not None
     quantizer = adapted_quantizer(raw, bits, dithered)

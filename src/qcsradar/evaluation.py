@@ -28,14 +28,21 @@ from typing import Optional
 
 import numpy as np
 
-from .quantization import Dither, QuantizerConfig, adapted_quantizer, draw_dither, sense
+from .quantization import (
+    UNQUANTIZED_BITS,
+    Dither,
+    QuantizerConfig,
+    adapted_quantizer,
+    check_bit_depth,
+    draw_dither,
+    sense,
+)
 from .recovery import RecoveryConfig, pbp, qiht_batch
 from .seeding import derive_seed
 from .signal_model import SamplingPlan, forward, make_sampling_plan, random_profile
 
 __all__ = [
     "ALGORITHMS",
-    "UNQUANTIZED_BITS",
     "MEAS_RANGE",
     "GridPoint",
     "ExperimentConfig",
@@ -50,9 +57,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 ALGORITHMS = ("pbp", "qiht")
-
-# Unquantized samples are accounted as 32-bit floats per real component.
-UNQUANTIZED_BITS = 32
 
 # Admissible measurement counts for the evaluation protocol.
 MEAS_RANGE = (2**3, 2**13)
@@ -148,8 +152,7 @@ class ExperimentConfig:
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1 or null, got {self.max_iters!r}")
         for b in self.bit_depths:
-            if b is not None and not 1 <= b <= 32:
-                raise ValueError(f"bit depths must be in [1, 32] or unquantized, got {b}")
+            check_bit_depth(b)
             bits = UNQUANTIZED_BITS if b is None else b
             for rate in self.bitrates:
                 if rate % bits != 0:

@@ -7,10 +7,17 @@ everything needed to replay the measurements through the recovery pipeline
 parameters).  Quantized payloads are snapped back onto the exact float64
 quantization grid on read, so consistency checks against re-quantized
 estimates remain exact after the float32 round trip.
+
+The sidecar is encoded by one ``json.dumps`` call (the C encoder) and
+written in one call; explicit dither values go in and out of it as
+interleaved float64 arrays viewed as complex128, with no per-element Python
+loop, so every bit of each value, the sign of a zero included, survives the
+round trip.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -21,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .evaluation import ALGORITHMS, AggregateResult, ExperimentConfig, sort_key
-from .quantization import Dither, QuantizerConfig, draw_dither
+from .quantization import Dither, QuantizerConfig, check_bit_depth, draw_dither
 from .signal_model import RadarParams, SamplingPlan, make_sampling_plan
 
 __all__ = [
@@ -65,11 +72,16 @@ def _config_error(message: str) -> ValueError:
     return ValueError(f"config: {message}")
 
 
-def _parse_bit_depth(value):
+def _parse_bit_depth(value, name: str = "bit_depths entries"):
+    """A bit depth in [1, 32], or None for ``"unquantized"`` (or JSON null)."""
     if value is None or value == "unquantized":
         return None
     if isinstance(value, bool) or not isinstance(value, int):
-        raise _config_error(f"bit_depths entries must be integers or \"unquantized\", got {value!r}")
+        raise _config_error(f"{name} must be integers or \"unquantized\", got {value!r}")
+    try:
+        check_bit_depth(value)
+    except ValueError as exc:
+        raise _config_error(str(exc)) from None
     return value
 
 
@@ -198,9 +210,7 @@ def write_capture(path, capture: Capture, *, store_dither_values: bool = False) 
     dither_field = None
     if capture.dither is not None:
         if store_dither_values or capture.dither.seed is None:
-            dither_field = {
-                "values": [[float(v.real), float(v.imag)] for v in capture.dither.values]
-            }
+            dither_field = {"values": capture.dither.values.view(np.float64).reshape(-1, 2).tolist()}
         else:
             dither_field = {
                 "seed": capture.dither.seed,
@@ -223,12 +233,13 @@ def write_capture(path, capture: Capture, *, store_dither_values: bool = False) 
             "n_bins": capture.radar.n_bins,
         },
     }
+    # json.dump would stream through the pure-Python encoder, one write per token.
+    text = json.dumps(sidecar, sort_keys=True) + "\n"
     try:
         with open(path, "wb") as fh:
             fh.write(samples.astype("<c8").tobytes())
         with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"capture: cannot write {path}: {exc}") from None
     return _sidecar_path(path)
@@ -271,6 +282,25 @@ def _field(mapping: dict, key: str, kind: type, where: str = "sidecar"):
         expected = "an integer" if kind is int else "a finite number"
         raise _capture_error(f"{where} field {key!r} must be {expected}, got {value!r}")
     return value
+
+
+def _dither_values(pairs, n_meas: int) -> np.ndarray:
+    """Stored ``[[re, im], ...]`` dither values as complex128, bit for bit.
+
+    The pairs are flattened in C and converted in one call, which is faster
+    than numpy's own discovery of a nested list.  A JSON null decodes to
+    NaN, which the finite check rejects; strings and ragged or misshapen
+    lists are rejected here.  Viewing the interleaved values as complex
+    keeps the sign of every zero, which ``re + 1j*im`` would not.
+    """
+    try:
+        paired = isinstance(pairs, list) and len(pairs) == n_meas and set(map(len, pairs)) == {2}
+    except TypeError:  # an entry without a length
+        paired = False
+    flat = np.asarray(list(itertools.chain.from_iterable(pairs))) if paired else None
+    if flat is None or flat.dtype.kind not in "iufO":
+        raise ValueError(f"dither values must be {n_meas} [re, im] number pairs")
+    return np.ascontiguousarray(flat, dtype=np.float64).view(np.complex128)
 
 
 def read_capture(path) -> Capture:
@@ -337,8 +367,7 @@ def read_capture(path) -> Capture:
         if dither_seed is not None:
             dither = draw_dither(quantizer, n_meas, dither_seed)
         elif dither_field is not None:
-            values = [complex(re, im) for re, im in dither_field["values"]]
-            dither = Dither(values=np.asarray(values, dtype=np.complex128), seed=None)
+            dither = Dither(values=_dither_values(dither_field["values"], n_meas), seed=None)
     except (TypeError, ValueError, OverflowError) as exc:
         raise _capture_error(str(exc)) from None
 

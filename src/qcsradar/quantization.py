@@ -23,8 +23,10 @@ from .seeding import generator
 from .signal_model import ProfileLike, SamplingPlan, forward
 
 __all__ = [
+    "UNQUANTIZED_BITS",
     "QuantizerConfig",
     "Dither",
+    "check_bit_depth",
     "quantize_scalar",
     "quantize_complex",
     "dynamic_range_for",
@@ -32,6 +34,15 @@ __all__ = [
     "draw_dither",
     "sense",
 ]
+
+# Unquantized samples are accounted as 32-bit floats per real component.
+UNQUANTIZED_BITS = 32
+
+
+def check_bit_depth(bit_depth: Optional[int]) -> None:
+    """Reject a bit depth outside [1, 32]; None (unquantized) passes."""
+    if bit_depth is not None and not 1 <= bit_depth <= 32:
+        raise ValueError(f"bit depth must be in [1, 32] or unquantized, got {bit_depth!r}")
 
 
 @dataclass(frozen=True)
@@ -48,8 +59,7 @@ class QuantizerConfig:
     dynamic_range: Union[float, np.ndarray]
 
     def __post_init__(self):
-        if self.bit_depth is not None and not 1 <= self.bit_depth <= 32:
-            raise ValueError(f"bit_depth must be None or in [1, 32], got {self.bit_depth}")
+        check_bit_depth(self.bit_depth)
         if not np.all(np.asarray(self.dynamic_range) > 0):
             raise ValueError("dynamic_range must be > 0")
 
@@ -66,7 +76,7 @@ class QuantizerConfig:
 
     @property
     def bits_per_component(self) -> int:
-        return 32 if self.bit_depth is None else self.bit_depth
+        return UNQUANTIZED_BITS if self.bit_depth is None else self.bit_depth
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +129,7 @@ def dynamic_range_for(measurements: np.ndarray, bit_depth: Optional[int], dither
     with Delta >= ||r||_inf + delta/2 is ||r||_inf / (1 - 2**-b).  For the
     unquantized mode the peak itself is returned for bookkeeping.
     """
+    check_bit_depth(bit_depth)
     r = np.asarray(measurements)
     peak = float(np.max(np.abs(r))) if r.size else 0.0
     if peak == 0.0:

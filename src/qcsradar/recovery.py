@@ -23,6 +23,7 @@ iterations only pay for the rows still running.  :func:`pbp` and
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -67,12 +68,12 @@ class RecoveryConfig:
     def __post_init__(self):
         if self.sparsity < 1:
             raise ValueError("sparsity must be >= 1")
-        if not self.step_size > 0:
-            raise ValueError("step_size must be > 0")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step_size must be a finite number > 0, got {self.step_size!r}")
         if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
         if not 0.0 < self.consistency_target <= 1.0:
-            raise ValueError("consistency_target must lie in (0, 1]")
+            raise ValueError(f"consistency_target must lie in (0, 1], got {self.consistency_target!r}")
 
     def resolved_max_iters(self) -> int:
         """Iteration budget: max(20, 100 * K) unless overridden."""

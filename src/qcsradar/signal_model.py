@@ -13,7 +13,6 @@ plan row i, with the arithmetic a single-trial call does on that row.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -60,8 +59,8 @@ class RadarParams:
     n_bins: int
 
     def __post_init__(self):
-        if self.f0 <= 0 or self.bandwidth <= 0 or self.ramp_duration <= 0:
-            raise ValueError("radar parameters must be strictly positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.f0, self.bandwidth, self.ramp_duration)):
+            raise ValueError("radar parameters must be finite and strictly positive")
         if self.n_bins < 1:
             raise ValueError("n_bins must be >= 1")
 
@@ -128,26 +127,6 @@ class SamplingPlan:
         # so one gather or one bincount serves every row of a stack.
         flat = omega if omega.ndim == 1 else omega + self.n_bins * np.arange(len(omega))[:, None]
         object.__setattr__(self, "_flat", flat)
-
-    def to_json(self) -> dict:
-        return {
-            "n_bins": self.n_bins,
-            "n_meas": self.n_meas,
-            "seed": self.seed,
-            "omega": self.omega.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SamplingPlan":
-        return cls(
-            n_bins=int(data["n_bins"]),
-            n_meas=int(data["n_meas"]),
-            omega=np.asarray(data["omega"], dtype=np.int64),
-            seed=int(data["seed"]),
-        )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 def make_sampling_plan(n_bins: int, n_meas: int, seed: int) -> SamplingPlan:

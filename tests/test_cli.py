@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qcsradar import cli
 from qcsradar.cli import main
 
 
@@ -42,6 +43,27 @@ class TestGenCapture:
         )
         assert code == 1
         assert stderr.startswith("error: config:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--bits", "0"],
+            ["--bits", "40"],
+            ["--bits", "none"],
+            ["--meas", "0"],
+            ["--n", "0"],
+            ["--sparsity", "0"],
+            ["--sparsity", "300"],
+            ["--bandwidth", "-1"],
+            ["--f0", "nan"],
+        ],
+    )
+    def test_bad_arguments_rejected_before_writing(self, tmp_path, capsys, argv):
+        out = tmp_path / "c.iq"
+        code, stdout, stderr = run_cli(capsys, "gen-capture", "--out", str(out), "--meas", "64", *argv)
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: config:") and stderr.count("\n") == 1
+        assert not out.exists()
 
 
 class TestRecover:
@@ -102,6 +124,41 @@ class TestRecover:
         assert code == 1 and stdout == ""
         assert stderr.startswith("error: capture:") and stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mu", "-1"],
+            ["--mu", "nan"],
+            ["--target", "7"],
+            ["--max-iters", "0"],
+            ["--sparsity", "0"],
+            ["--algo", "pbp", "--mu", "inf"],
+        ],
+    )
+    def test_bad_arguments_rejected_before_reading_the_capture(self, tmp_path, capsys, argv):
+        # The capture does not exist: only an argument check made first reports config.
+        code, stdout, stderr = run_cli(
+            capsys, "recover", "--capture", str(tmp_path / "nope.iq"), "--sparsity", "2", *argv
+        )
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: config:") and stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("algo", ["pbp", "qiht"])
+    def test_sparsity_above_the_capture_bins_rejected(self, tmp_path, capsys, algo, monkeypatch):
+        out = tmp_path / "cap.iq"
+        run_cli(capsys, "gen-capture", "--out", str(out), "--n", "64", "--meas", "256", "--seed", "1")
+
+        def no_recovery(*args, **kwargs):
+            raise AssertionError("recovery ran")
+
+        monkeypatch.setattr(cli, "pbp", no_recovery)
+        monkeypatch.setattr(cli, "qiht", no_recovery)
+        code, stdout, stderr = run_cli(
+            capsys, "recover", "--capture", str(out), "--algo", algo, "--sparsity", "100"
+        )
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: config:") and stderr.count("\n") == 1
+
     def test_missing_capture_fails_cleanly(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             capsys, "recover", "--capture", str(tmp_path / "nope.iq"), "--sparsity", "2"
@@ -127,6 +184,15 @@ class TestAmbiguityCommand:
         code, _, stderr = run_cli(capsys, "ambiguity", "--gamma", "1.5")
         assert code == 1
         assert stderr.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--seeds", "-1"], ["--seeds", "0"], ["--n", "0"], ["--gamma", "2"], ["--bits", "0"], ["--meas", "0"]],
+    )
+    def test_bad_arguments_rejected(self, capsys, argv):
+        code, stdout, stderr = run_cli(capsys, "ambiguity", "--meas", "64", "--seeds", "2", *argv)
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: config:") and stderr.count("\n") == 1
 
 
 class TestSimulateCommand:

@@ -1,0 +1,132 @@
+"""Property test of the CLI error contract over drawn argv.
+
+Every call of ``gen-capture``, ``recover`` or ``ambiguity`` must end one of
+two ways: exit 0 with one JSON object on stdout, or exit 1 with exactly one
+``error: <kind>: <reason>`` line on stderr, with no exception escaping
+``cli.main``.  Values are drawn to parse as their argparse types, mixing
+valid ones with zero, negative, out-of-range, non-finite and huge ones.
+Sizes stay small (M and N at most 512, at most 8 dither seeds) so that the
+test runs in seconds.
+"""
+
+import contextlib
+import io
+import json
+import math
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcsradar.cli import main
+
+ERROR_LINE = re.compile(r"error: [a-z]+: [^\n]+\n")
+HUGE = 2**70
+BAD_FLOATS = [0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324]
+
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def ints(low, high, bad):
+    """A valid integer drawn from [low, high] and a bad one drawn from ``bad``."""
+    return st.tuples(st.integers(low, high), st.sampled_from(bad))
+
+
+def floats(low, high, bad=()):
+    return st.tuples(st.floats(low, high), st.sampled_from(BAD_FLOATS + list(bad)))
+
+
+def argv_options(**pairs):
+    """Options with valid values, none or one or two of them swapped for edge or bad ones."""
+    broken = st.one_of(st.just(set()), st.sets(st.sampled_from(sorted(pairs)), min_size=1, max_size=2))
+    return st.tuples(st.fixed_dictionaries(pairs), broken).map(
+        lambda drawn: {name: pair[name in drawn[1]] for name, pair in drawn[0].items()}
+    )
+
+
+SIZES = ints(1, 512, [0, -1, -HUGE])
+SPARSITY = ints(1, 8, [0, -1, 300, HUGE])
+SEED = ints(0, 2**64, [-1, -HUGE, HUGE])
+BITS = st.tuples(
+    st.sampled_from(["1", "2", "3", "32", "unquantized"]),
+    st.sampled_from(["0", "-1", "33", "40", str(HUGE), "1.5", "none", "nan"]),
+)
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_contract(command, options, *flags):
+    # --name=value keeps argparse from reading "-inf" or "-1e+308" as an option.
+    argv = [command, *(f"--{name.replace('_', '-')}={value}" for name, value in options.items()), *flags]
+    code, out, err = run(argv)
+    if code == 0:
+        assert out.count("\n") == 1 and isinstance(json.loads(out), dict), argv
+    else:
+        assert code == 1 and out == "", argv
+        assert ERROR_LINE.fullmatch(err), (argv, err)
+
+
+@pytest.fixture(scope="module")
+def work_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def capture(work_dir):
+    path = work_dir / "scene.iq"
+    assert run(["gen-capture", "--out", str(path), "--n", "64", "--meas", "256", "--seed", "5"])[0] == 0
+    return str(path)
+
+
+def test_gen_capture(work_dir):
+    @FUZZ
+    @given(
+        options=argv_options(
+            n=ints(8, 512, [0, -1, -HUGE]), meas=SIZES, bits=BITS, sparsity=SPARSITY, seed=SEED,
+            f0=floats(1.0, 1e11), bandwidth=floats(1.0, 1e9), ramp_duration=floats(1e-6, 1.0),
+        ),
+        dithered=st.sampled_from(["--dithered", "--no-dithered"]),
+        store=st.booleans(),
+    )
+    def check(options, dithered, store):
+        flags = [dithered] + (["--store-dither-values"] if store else [])
+        check_contract("gen-capture", dict(options, out=work_dir / "gen.iq"), *flags)
+
+    check()
+
+
+def test_recover(capture):
+    @FUZZ
+    @given(
+        options=argv_options(
+            sparsity=ints(1, 8, [0, -1, 65, HUGE]), mu=floats(1e-3, 4.0),
+            target=floats(0.01, 1.0, [7.0]), max_iters=ints(1, 200, [0, -1, -HUGE]),
+        ),
+        algo=st.sampled_from(["pbp", "qiht"]),
+    )
+    def check(options, algo):
+        check_contract("recover", dict(options, capture=capture, algo=algo))
+
+    check()
+
+
+def test_ambiguity():
+    @FUZZ
+    @given(
+        options=argv_options(
+            n=ints(64, 512, [0, 1, -1, -HUGE]), n0=ints(1, 64, [0, -1, HUGE]), n1=ints(1, 64, [0, -1, HUGE]),
+            psi0=floats(-3.14, 3.14, [math.pi]), psi1=floats(-3.14, 3.14, [math.pi]),
+            gamma=floats(0.01, 0.99, [1.0, 2.0]), meas=SIZES, seeds=ints(1, 8, [0, -1, -HUGE]),
+            bits=ints(1, 3, [0, -1, 33, HUGE]), seed=SEED,
+        )
+    )
+    def check(options):
+        check_contract("ambiguity", options)
+
+    check()

@@ -57,15 +57,6 @@ class TestSamplingPlan:
         with pytest.raises(ValueError):
             make_sampling_plan(4, 0, seed=0)
 
-    def test_json_round_trip(self):
-        plan = make_sampling_plan(16, 21, seed=3)
-        data = plan.to_json()
-        assert set(data) == {"n_bins", "n_meas", "seed", "omega"}
-        back = SamplingPlan.from_json(data)
-        assert back.n_bins == plan.n_bins and back.n_meas == plan.n_meas
-        assert back.seed == plan.seed
-        np.testing.assert_array_equal(back.omega, plan.omega)
-
     def test_validates_omega(self):
         with pytest.raises(ValueError):
             SamplingPlan(n_bins=4, n_meas=2, omega=np.array([0, 4]), seed=0)
