@@ -1,7 +1,8 @@
 """Command-line interface: simulate, ambiguity, recover, gen-capture.
 
 All subcommands are deterministic given an explicit --seed.  Errors exit
-nonzero after printing a single ``error: <kind>: <reason>`` line to stderr.
+nonzero after printing a single ``error: <kind>: <reason>`` line to stderr;
+that includes argv the parser rejects (``config:``).
 """
 
 from __future__ import annotations
@@ -33,13 +34,40 @@ from .signal_model import (
 __all__ = ["main"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors take the one-line ``config:`` form.
+
+    Subcommand parsers are built from the same class, so theirs do too.
+    ``--help`` still prints the usage and exits 0.
+    """
+
+    def error(self, message):
+        raise ValueError(f"config: {message}")
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        # Every option takes one value, but argparse turns ``--seeds=--``
+        # into an empty list instead of reporting it.
+        for name, value in vars(parsed).items():
+            if isinstance(value, list):
+                self.error(f"argument --{name.replace('_', '-')}: expected one value")
+        return parsed
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_simulate(subparsers):
     p = subparsers.add_parser("simulate", help="run a Monte Carlo grid and write a results CSV")
     p.add_argument("--config", required=True, help="experiment configuration (JSON)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--trials", type=int, default=None, help="override the trial count")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p.add_argument("--workers", type=int, default=None, help="worker process count (default: QCS_THREADS or CPU count)")
+    p.add_argument("--workers", type=positive_int, default=None, help="worker process count (default: QCS_THREADS or CPU count)")
 
 
 def _add_ambiguity(subparsers):
@@ -242,7 +270,7 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcsradar",
         description="Sparse radar range estimation from dithered, severely quantized compressive measurements.",
     )
@@ -256,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,8 +9,10 @@ bit-rate or algorithm are compared on common random numbers, mirroring the
 exact saturation plateaus of undithered quantization.
 
 Trials run in chunks (:func:`run_trials`): every trial draws from its own
-sub-seeds and gets its own range-adapted quantizer, then the chunk is sensed
-and recovered as one (T, M) batch within CHUNK_ELEMENTS.
+sub-seeds and gets its own range-adapted quantizer, but the chunk is drawn
+as stacked arrays (each draw takes the chunk's T seeds, and one range rule
+gives a (T, 1) column of ranges), then sensed and recovered as one (T, M)
+batch within CHUNK_ELEMENTS.
 :func:`run_grid` hands out (grid point, trial chunk) tasks, so a single
 point keeps every worker busy, and adds per-trial results up in trial order,
 so the aggregates do not depend on the worker count.
@@ -28,18 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from .quantization import (
-    UNQUANTIZED_BITS,
-    Dither,
-    QuantizerConfig,
-    adapted_quantizer,
-    check_bit_depth,
-    draw_dither,
-    sense,
-)
+from .quantization import UNQUANTIZED_BITS, adapted_quantizer, check_bit_depth, draw_dither, sense
 from .recovery import RecoveryConfig, pbp, qiht_batch
 from .seeding import derive_seed
-from .signal_model import SamplingPlan, forward, make_sampling_plan, random_profile
+from .signal_model import forward, make_sampling_plan, random_profile
 
 __all__ = [
     "ALGORITHMS",
@@ -223,9 +217,10 @@ def run_trials(
     """Execute seeded trials of the grid point as one batch; one TrialRecord each.
 
     Each trial draws its profile, plan, and dither from its own sub-seeds of
-    ``master_seed`` and gets its own range-adapted quantizer; the batch is
-    then sensed, recovered with the point's algorithm, and scored for
-    support recovery and l2 error, trial by trial.
+    ``master_seed`` and gets its own range-adapted quantizer; the draws take
+    the chunk's T seeds at once and return (T, N) and (T, M) stacks.  The
+    batch is then sensed, recovered with the point's algorithm, and scored
+    for support recovery and l2 error, trial by trial.
     """
     k, m, b = point.sparsity, point.n_meas, point.bit_depth
     seeds = [
@@ -236,14 +231,11 @@ def run_trials(
         )
         for trial_index in trial_indices
     ]
-    truth = np.stack([random_profile(n_bins, k, s[0]).amplitudes for s in seeds])
-    omega = np.stack([make_sampling_plan(n_bins, m, s[1]).omega for s in seeds])
-    plan = SamplingPlan(n_bins=n_bins, n_meas=m, omega=omega, seed=None)
-    quantizers = [adapted_quantizer(raw, b, point.effective_dithered) for raw in forward(plan, truth)]
-    quantizer = QuantizerConfig(b, np.array([[q.dynamic_range] for q in quantizers]))
-    dither = None
-    if point.effective_dithered:
-        dither = Dither(np.stack([draw_dither(q, m, s[2]).values for q, s in zip(quantizers, seeds)]))
+    profile_seeds, plan_seeds, dither_seeds = zip(*seeds)
+    truth = random_profile(n_bins, k, profile_seeds)
+    plan = make_sampling_plan(n_bins, m, plan_seeds)
+    quantizer = adapted_quantizer(forward(plan, truth), b, point.effective_dithered)
+    dither = draw_dither(quantizer, m, dither_seeds) if point.effective_dithered else None
     y = sense(plan, quantizer, dither, truth)
 
     if point.algorithm == "pbp":
@@ -366,6 +358,8 @@ def sort_key(point: GridPoint) -> tuple:
 
 
 def _resolve_workers(max_workers: Optional[int], n_tasks: int) -> int:
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     if max_workers is None:
         max_workers = os.cpu_count() or 1
         cap = os.environ.get("QCS_THREADS")

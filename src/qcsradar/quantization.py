@@ -9,7 +9,10 @@ signal (plus half a step of dither headroom) rather than saturating.
 
 Quantization and sensing take a leading trial axis: a quantizer whose
 dynamic range is a (T, 1) column quantizes row i of (T, M) values with its
-own step, and a (T, M) dither stacks the dithers of T trials.
+own step, and a (T, M) dither stacks the dithers of T trials.  The range
+rule and the dither draw stack the same way: :func:`adapted_quantizer` on
+(T, M) measurements sizes one range per row, and :func:`draw_dither` given
+T seeds draws row i from seed i with row i's step.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .seeding import generator
-from .signal_model import ProfileLike, SamplingPlan, forward
+from .seeding import generator, seed_rows
+from .signal_model import ProfileLike, SamplingPlan, _readonly, forward
 
 __all__ = [
     "UNQUANTIZED_BITS",
@@ -90,49 +93,57 @@ class Dither:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.complex128)
+        vals = np.asarray(self.values, dtype=np.complex128)
         if vals.ndim != 1 and (vals.ndim != 2 or self.seed is not None):
             raise ValueError("dither values must be a 1-D complex vector (or an unseeded stack)")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _readonly(vals))
 
     @property
     def n_meas(self) -> int:
         return self.values.shape[-1]
 
 
-def _midrise(values: np.ndarray, step: float) -> np.ndarray:
-    return step * np.floor(values / step) + 0.5 * step
-
-
 def quantize_scalar(config: QuantizerConfig, value: float) -> float:
     """Quantize one real sample: delta*floor(x/delta) + delta/2."""
-    if not config.quantized:
-        raise ValueError("cannot quantize with an unquantized configuration")
-    return float(_midrise(np.float64(value), config.step))
+    return float(quantize_complex(config, np.float64(value)).real)
 
 
 def quantize_complex(config: QuantizerConfig, values: np.ndarray) -> np.ndarray:
-    """Quantize real and imaginary parts of each component independently."""
+    """Quantize real and imaginary parts of each component independently.
+
+    Each part x becomes delta*floor(x/delta) + delta/2, computed in place on
+    the interleaved float64 parts of one output array; ``values`` is not
+    modified.
+    """
     if not config.quantized:
         raise ValueError("cannot quantize with an unquantized configuration")
-    v = np.asarray(values, dtype=np.complex128)
     step = config.step
-    return _midrise(v.real, step) + 1j * _midrise(v.imag, step)
+    out = np.array(values, dtype=np.complex128)
+    # A (T, 1) column of steps broadcasts over the 2M parts of each row.
+    parts = np.atleast_1d(out).view(np.float64)
+    np.divide(parts, step, out=parts)
+    np.floor(parts, out=parts)
+    parts *= step
+    parts += 0.5 * step
+    return out
 
 
-def dynamic_range_for(measurements: np.ndarray, bit_depth: Optional[int], dithered: bool) -> float:
+def dynamic_range_for(measurements: np.ndarray, bit_depth: Optional[int], dithered: bool):
     """Smallest dynamic range covering the noiseless measurements.
 
     Undithered: Delta = ||r||_inf (largest modulus).  Dithered: the dither
     adds up to delta/2 = 2**-b * Delta per component, so the smallest Delta
     with Delta >= ||r||_inf + delta/2 is ||r||_inf / (1 - 2**-b).  For the
-    unquantized mode the peak itself is returned for bookkeeping.
+    unquantized mode the peak itself is returned for bookkeeping.  (T, M)
+    measurements get a (T, 1) column, one range per row.
     """
     check_bit_depth(bit_depth)
     r = np.asarray(measurements)
-    peak = float(np.max(np.abs(r))) if r.size else 0.0
-    if peak == 0.0:
+    if r.ndim == 2:
+        peak = np.max(np.abs(r), axis=1, keepdims=True)
+    else:
+        peak = float(np.max(np.abs(r))) if r.size else 0.0
+    if np.any(peak == 0.0):
         raise ValueError("cannot size a dynamic range for an all-zero signal")
     if bit_depth is None or not dithered:
         return peak
@@ -140,22 +151,38 @@ def dynamic_range_for(measurements: np.ndarray, bit_depth: Optional[int], dither
 
 
 def adapted_quantizer(measurements: np.ndarray, bit_depth: Optional[int], dithered: bool) -> QuantizerConfig:
-    """Build the quantizer whose range is adapted to ``measurements``."""
+    """Build the quantizer whose range is adapted to ``measurements`` (row by row for (T, M))."""
     return QuantizerConfig(
         bit_depth=bit_depth,
         dynamic_range=dynamic_range_for(measurements, bit_depth, dithered),
     )
 
 
-def draw_dither(config: QuantizerConfig, n_meas: int, seed: int) -> Dither:
-    """Draw 2*n_meas i.i.d. uniforms on (-delta/2, delta/2); deterministic per seed."""
+def draw_dither(config: QuantizerConfig, n_meas: int, seed) -> Dither:
+    """Draw 2*n_meas i.i.d. uniforms on (-delta/2, delta/2); deterministic per seed.
+
+    A sequence of T seeds draws an unseeded (T, M) stack whose row i is the
+    dither of seed i, sized by row i of a (T, 1) column of steps (or by one
+    shared step).
+    """
     if not config.quantized:
         raise ValueError("dither is only defined for quantized configurations")
-    rng = generator(seed)
+    seeds, stacked = seed_rows(seed)
     half = 0.5 * config.step
-    re = rng.uniform(-half, half, size=n_meas)
-    im = rng.uniform(-half, half, size=n_meas)
-    return Dither(values=re + 1j * im, seed=int(seed))
+    values = np.empty((len(seeds), n_meas), dtype=np.complex128)
+    pairs = values.view(np.float64).reshape(len(seeds), n_meas, 2)
+    uniforms = np.empty((2, n_meas))
+    for row, s in zip(pairs, seeds):
+        # The real parts, then the imaginary parts, as two uniform() calls draw them.
+        generator(s).random(out=uniforms)
+        row[...] = uniforms.T
+    # Generator.uniform(low, high) computes low + (high - low) * u; applied
+    # here to the whole stack, with low = -half and high - low = half + half.
+    parts = values.view(np.float64)
+    parts *= half + half
+    parts += -half
+    values.flags.writeable = False
+    return Dither(values=values, seed=None) if stacked else Dither(values=values[0], seed=int(seed))
 
 
 def sense(
@@ -178,5 +205,5 @@ def sense(
     if dither is not None:
         if dither.n_meas != plan.n_meas:
             raise ValueError(f"dither length {dither.n_meas} does not match n_meas={plan.n_meas}")
-        r = r + dither.values
+        r += dither.values  # r is this call's own forward output
     return quantize_complex(config, r)

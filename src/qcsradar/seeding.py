@@ -4,7 +4,8 @@ Every random object in the simulator is produced from an explicit 64-bit
 seed.  Sub-seeds are derived by hashing a master seed together with a
 purpose tag and the parameters that identify the random object, so any
 single draw (one profile, one sampling plan, one dither) can be
-regenerated in isolation.
+regenerated in isolation.  A stacked draw takes a sequence of T seeds and
+gives each row its own generator, so row i is the draw of seed i.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed", "generator"]
+__all__ = ["derive_seed", "generator", "seed_rows"]
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -36,3 +37,13 @@ def generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.Generator(np.random.Philox(int(seed)))
+
+
+def seed_rows(seeds) -> tuple:
+    """``(list of T seeds, True)`` for a sequence; ``([seed], False)`` for one seed or Generator."""
+    if np.ndim(seeds) == 0:
+        return [seeds], False
+    rows = list(seeds)
+    if not rows:
+        raise ValueError("a stacked draw needs at least one seed")
+    return rows, True

@@ -8,7 +8,10 @@ partial-Fourier forward operator and its adjoint.
 
 Both operators take a leading trial axis: a plan whose ``omega`` stacks T
 rows maps (T, N) profiles to (T, M) measurements and back, row i through
-plan row i, with the arithmetic a single-trial call does on that row.
+plan row i, with the arithmetic a single-trial call does on that row.  The
+draws stack the same way: :func:`random_profile` and
+:func:`make_sampling_plan` given a sequence of T seeds return (T, N)
+amplitudes and a (T, M) plan whose row i is the single-seed draw of seed i.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .seeding import generator
+from .seeding import generator, seed_rows
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -40,6 +43,17 @@ ProfileLike = Union["RangeProfile", np.ndarray]
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself if nothing can write to it, else a read-only copy.
+
+    An array is kept when it and every array it views are read-only and the
+    last of them owns its data, as the draws hand over; a caller's writable
+    array is copied, so later writes to it do not reach the copy.
+    """
+    base = arr
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        if base.base is None:
+            return arr
+        base = base.base
     arr = np.array(arr, copy=True)
     arr.flags.writeable = False
     return arr
@@ -129,28 +143,31 @@ class SamplingPlan:
         object.__setattr__(self, "_flat", flat)
 
 
-def make_sampling_plan(n_bins: int, n_meas: int, seed: int) -> SamplingPlan:
+def make_sampling_plan(n_bins: int, n_meas: int, seed) -> SamplingPlan:
     """Draw the acquisition plan for M measurements over N-sample ramps.
 
     For M < N a uniformly random size-M subset of one ramp is kept (in time
     order).  For M >= N, floor(M/N) ramps are sampled in full and the
     remaining M mod N samples are a uniformly random subset of the last,
-    partially sampled ramp.  Deterministic given ``seed``.
+    partially sampled ramp.  Deterministic given ``seed``; when M is a
+    multiple of N nothing is drawn and no generator is built.  A sequence
+    of T seeds gives the stacked (T, M) plan of their T single-seed plans.
     """
     if n_bins < 1 or n_meas < 1:
         raise ValueError("n_bins and n_meas must be >= 1")
-    rng = generator(seed)
-    if n_meas < n_bins:
-        omega = np.sort(rng.choice(n_bins, size=n_meas, replace=False))
-    else:
-        full = np.tile(np.arange(n_bins, dtype=np.int64), n_meas // n_bins)
-        remainder = n_meas % n_bins
-        if remainder:
-            extra = np.sort(rng.choice(n_bins, size=remainder, replace=False))
-            omega = np.concatenate([full, extra])
-        else:
-            omega = full
-    return SamplingPlan(n_bins=n_bins, n_meas=n_meas, omega=omega, seed=int(seed))
+    seeds, stacked = seed_rows(seed)
+    full, remainder = divmod(n_meas, n_bins)
+    omega = np.empty((len(seeds), n_meas), dtype=np.int64)
+    omega[:, : full * n_bins] = np.tile(np.arange(n_bins, dtype=np.int64), full)
+    if remainder:
+        partial = omega[:, full * n_bins :]
+        for row, s in zip(partial, seeds):
+            row[:] = generator(s).choice(n_bins, size=remainder, replace=False)
+        partial.sort(axis=1)
+    omega.flags.writeable = False  # nothing else holds it: the plan keeps it uncopied
+    if stacked:
+        return SamplingPlan(n_bins=n_bins, n_meas=n_meas, omega=omega, seed=None)
+    return SamplingPlan(n_bins=n_bins, n_meas=n_meas, omega=omega[0], seed=int(seed))
 
 
 def _as_amplitudes(profile: ProfileLike, plan: SamplingPlan) -> np.ndarray:
@@ -189,28 +206,35 @@ def adjoint(plan: SamplingPlan, measurements: np.ndarray) -> np.ndarray:
     return plan.n_bins * np.fft.ifft(spectrum.reshape(y.shape[:-1] + (plan.n_bins,)))
 
 
-def random_profile(n_bins: int, sparsity: int, rng) -> RangeProfile:
+def random_profile(n_bins: int, sparsity: int, rng):
     """Draw a K-sparse profile with uniform support and U[0,1] amplitudes.
 
     The support is uniform over all C(N, K) index subsets; each nonzero is
     C * exp(i psi) with C ~ U[0, 1] and psi ~ U[0, 2 pi), and the result is
     rescaled so the largest modulus is exactly 1.  ``rng`` is a seed or a
-    numpy Generator.
+    numpy Generator, giving a RangeProfile, or a sequence of T seeds, giving
+    read-only (T, N) amplitudes whose row i is the profile of seed i.
     """
     if not 1 <= sparsity <= n_bins:
         raise ValueError(f"sparsity must be in [1, {n_bins}], got {sparsity}")
-    rng = generator(rng)
-    support = rng.choice(n_bins, size=sparsity, replace=False)
-    moduli = rng.uniform(0.0, 1.0, size=sparsity)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=sparsity)
-    # U[0,1] puts zero mass at 0, but an exact 0 would silently drop a target.
-    while np.any(moduli == 0.0):
-        redraw = moduli == 0.0
-        moduli[redraw] = rng.uniform(0.0, 1.0, size=int(redraw.sum()))
-    amps = np.zeros(n_bins, dtype=np.complex128)
-    amps[support] = moduli * np.exp(1j * phases)
-    amps /= np.max(np.abs(amps))
-    return RangeProfile(amplitudes=amps)
+    seeds, stacked = seed_rows(rng)
+    support = np.empty((len(seeds), sparsity), dtype=np.int64)
+    moduli = np.empty((len(seeds), sparsity))
+    phases = np.empty((len(seeds), sparsity))
+    for i, s in enumerate(seeds):
+        g = generator(s)
+        support[i] = g.choice(n_bins, size=sparsity, replace=False)
+        moduli[i] = g.uniform(0.0, 1.0, size=sparsity)
+        phases[i] = g.uniform(0.0, 2.0 * np.pi, size=sparsity)
+        # U[0,1] puts zero mass at 0, but an exact 0 would silently drop a target.
+        while np.any(moduli[i] == 0.0):
+            redraw = moduli[i] == 0.0
+            moduli[i, redraw] = g.uniform(0.0, 1.0, size=int(redraw.sum()))
+    amps = np.zeros((len(seeds), n_bins), dtype=np.complex128)
+    np.put_along_axis(amps, support, moduli * np.exp(1j * phases), axis=1)
+    amps /= np.max(np.abs(amps), axis=1, keepdims=True)
+    amps.flags.writeable = False
+    return amps if stacked else RangeProfile(amplitudes=amps[0])
 
 
 def bin_to_range(params: RadarParams, bin_index: int) -> float:

@@ -15,6 +15,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv", [[], ["bogus"], ["recover"], ["gen-capture", "--meas", "abc"], ["ambiguity", "--seeds=--"]]
+    )
+    def test_parser_errors_are_one_config_line(self, capsys, argv):
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: config:") and stderr.count("\n") == 1
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qcsradar")
+
+
 class TestGenCapture:
     def test_writes_files_and_reports_scene(self, tmp_path, capsys):
         out = tmp_path / "cap.iq"
@@ -261,6 +277,19 @@ class TestSimulateCommand:
         assert code == 1
         assert stderr.startswith("error: config:") and stderr.count("\n") == 1
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected_before_any_trial(self, tmp_path, capsys, monkeypatch, workers):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(cli, "run_grid", no_grid)
+        cfg = self._write_config(tmp_path)
+        code, stdout, stderr = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv"), "--workers", workers
+        )
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: config: argument --workers") and stderr.count("\n") == 1
 
     def test_all_points_out_of_range_fails_cleanly(self, tmp_path, capsys):
         # every (b, bitrate) pair lands outside the admissible M range

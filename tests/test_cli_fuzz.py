@@ -3,10 +3,10 @@
 Every call of ``gen-capture``, ``recover`` or ``ambiguity`` must end one of
 two ways: exit 0 with one JSON object on stdout, or exit 1 with exactly one
 ``error: <kind>: <reason>`` line on stderr, with no exception escaping
-``cli.main``.  Values are drawn to parse as their argparse types, mixing
-valid ones with zero, negative, out-of-range, non-finite and huge ones.
-Sizes stay small (M and N at most 512, at most 8 dither seeds) so that the
-test runs in seconds.
+``cli.main``.  Values mix valid ones with zero, negative, out-of-range,
+non-finite and huge ones, and with strings their argparse types cannot
+parse; required options are sometimes left out.  Sizes stay small (M and N
+at most 512, at most 8 dither seeds) so that the test runs in seconds.
 """
 
 import contextlib
@@ -24,17 +24,24 @@ from qcsradar.cli import main
 ERROR_LINE = re.compile(r"error: [a-z]+: [^\n]+\n")
 HUGE = 2**70
 BAD_FLOATS = [0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324]
+# Strings that neither int() nor float() parses.
+UNPARSEABLE = ["abc", "", "0x10", "1,5", "--"]
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def ints(low, high, bad):
-    """A valid integer drawn from [low, high] and a bad one drawn from ``bad``."""
-    return st.tuples(st.integers(low, high), st.sampled_from(bad))
+    """A valid integer drawn from [low, high] and a bad one drawn from ``bad`` or unparseable."""
+    return st.tuples(st.integers(low, high), st.sampled_from(bad + UNPARSEABLE + ["1e3", "1.5"]))
 
 
 def floats(low, high, bad=()):
-    return st.tuples(st.floats(low, high), st.sampled_from(BAD_FLOATS + list(bad)))
+    return st.tuples(st.floats(low, high), st.sampled_from(BAD_FLOATS + list(bad) + UNPARSEABLE))
+
+
+def omitted(*required):
+    """None, or one or more, of the required options to leave out of argv."""
+    return st.one_of(st.just(set()), st.sets(st.sampled_from(required), min_size=1))
 
 
 def argv_options(**pairs):
@@ -61,9 +68,10 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def check_contract(command, options, *flags):
+def check_contract(command, options, *flags, omit=()):
     # --name=value keeps argparse from reading "-inf" or "-1e+308" as an option.
-    argv = [command, *(f"--{name.replace('_', '-')}={value}" for name, value in options.items()), *flags]
+    pairs = [(name, value) for name, value in options.items() if name not in omit]
+    argv = [command, *(f"--{name.replace('_', '-')}={value}" for name, value in pairs), *flags]
     code, out, err = run(argv)
     if code == 0:
         assert out.count("\n") == 1 and isinstance(json.loads(out), dict), argv
@@ -93,10 +101,11 @@ def test_gen_capture(work_dir):
         ),
         dithered=st.sampled_from(["--dithered", "--no-dithered"]),
         store=st.booleans(),
+        omit=omitted("out"),
     )
-    def check(options, dithered, store):
+    def check(options, dithered, store, omit):
         flags = [dithered] + (["--store-dither-values"] if store else [])
-        check_contract("gen-capture", dict(options, out=work_dir / "gen.iq"), *flags)
+        check_contract("gen-capture", dict(options, out=work_dir / "gen.iq"), *flags, omit=omit)
 
     check()
 
@@ -109,9 +118,10 @@ def test_recover(capture):
             target=floats(0.01, 1.0, [7.0]), max_iters=ints(1, 200, [0, -1, -HUGE]),
         ),
         algo=st.sampled_from(["pbp", "qiht"]),
+        omit=omitted("capture", "sparsity"),
     )
-    def check(options, algo):
-        check_contract("recover", dict(options, capture=capture, algo=algo))
+    def check(options, algo, omit):
+        check_contract("recover", dict(options, capture=capture, algo=algo), omit=omit)
 
     check()
 

@@ -10,6 +10,7 @@ from qcsradar.evaluation import (
     point_is_runnable,
     run_grid,
     run_trial,
+    run_trials,
     tpr,
     _resolve_workers,
 )
@@ -168,6 +169,12 @@ class TestRunGrid:
             (r.point, r.mean_tpr_pct, r.mean_l2_error) for r in parallel
         ]
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, workers):
+        config = ExperimentConfig(bitrates=(64,), trials=2)
+        with pytest.raises(ValueError, match="max_workers"):
+            run_grid(config, max_workers=workers)
+
     def test_worker_cap_from_environment(self, monkeypatch):
         monkeypatch.setenv("QCS_THREADS", "1")
         assert _resolve_workers(None, 8) == 1
@@ -198,6 +205,20 @@ class TestStreamingAggregation:
         small = peak_for(20)
         large = peak_for(200)
         assert large < 2 * small
+
+    @pytest.mark.parametrize("n_meas, trials", [(8192, 4), (1024, 32)])
+    def test_chunk_peak_within_five_stacks(self, n_meas, trials):
+        # A chunk is drawn and sensed as a few whole (T, M) arrays: its peak
+        # allocation stays under five complex stacks of T x max(M, N).
+        import tracemalloc
+
+        point = GridPoint(2, 1, n_meas, True, "pbp")
+        run_trials(point, range(trials), master_seed=0)  # first-call allocations
+        tracemalloc.start()
+        run_trials(point, range(trials), master_seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= 5 * trials * max(n_meas, 256) * 16
 
 
 class TestProtocolProperties:

@@ -1,0 +1,189 @@
+"""Stacked draws: T seeds in one call must give, row by row, the single-seed draws.
+
+Rows are compared bit for bit (signed zeros included), since the trial
+engine draws whole chunks this way and the golden sweep pins its results.
+"""
+
+import numpy as np
+import pytest
+
+from qcsradar import signal_model
+from qcsradar.quantization import (
+    Dither,
+    QuantizerConfig,
+    adapted_quantizer,
+    draw_dither,
+    dynamic_range_for,
+    quantize_complex,
+)
+from qcsradar.seeding import seed_rows
+from qcsradar.signal_model import RangeProfile, SamplingPlan, make_sampling_plan, random_profile
+
+SEEDS = [3, 2**63 + 5, 0, 17, 2**64 - 1]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_profile(n_bins, sparsity, seed):
+    """One profile drawn as a single trial did before draws took T seeds."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    support = rng.choice(n_bins, size=sparsity, replace=False)
+    moduli = rng.uniform(0.0, 1.0, size=sparsity)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=sparsity)
+    amps = np.zeros(n_bins, dtype=np.complex128)
+    amps[support] = moduli * np.exp(1j * phases)
+    return amps / np.max(np.abs(amps))
+
+
+def reference_omega(n_bins, n_meas, seed):
+    """One plan drawn as a single trial did before draws took T seeds."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    if n_meas < n_bins:
+        return np.sort(rng.choice(n_bins, size=n_meas, replace=False))
+    full = np.tile(np.arange(n_bins, dtype=np.int64), n_meas // n_bins)
+    return np.concatenate([full, np.sort(rng.choice(n_bins, size=n_meas % n_bins, replace=False))])
+
+
+def old_quantize(config, values):
+    """The two-part mid-rise formula the quantizer used before it worked in one buffer."""
+    def midrise(x, step):
+        return step * np.floor(x / step) + 0.5 * step
+
+    v = np.asarray(values, dtype=np.complex128)
+    return midrise(v.real, config.step) + 1j * midrise(v.imag, config.step)
+
+
+class TestStackedDraws:
+    @pytest.mark.parametrize("n_bins, sparsity", [(16, 1), (64, 3), (256, 10), (8, 8)])
+    def test_profile_rows_are_single_seed_profiles(self, n_bins, sparsity):
+        stack = random_profile(n_bins, sparsity, SEEDS)
+        assert stack.shape == (len(SEEDS), n_bins) and not stack.flags.writeable
+        for row, seed in zip(stack, SEEDS):
+            assert same_bits(row, random_profile(n_bins, sparsity, seed).amplitudes)
+            assert same_bits(row, reference_profile(n_bins, sparsity, seed))
+
+    @pytest.mark.parametrize("n_bins, n_meas", [(16, 5), (16, 16), (16, 48), (16, 37), (64, 8192), (256, 300)])
+    def test_plan_rows_are_single_seed_plans(self, n_bins, n_meas):
+        stack = make_sampling_plan(n_bins, n_meas, SEEDS)
+        assert stack.omega.shape == (len(SEEDS), n_meas) and stack.seed is None
+        for row, seed in zip(stack.omega, SEEDS):
+            single = make_sampling_plan(n_bins, n_meas, seed)
+            assert same_bits(row, single.omega) and single.seed == seed
+            assert same_bits(row, reference_omega(n_bins, n_meas, seed))
+
+    @pytest.mark.parametrize("bit_depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_meas", [1, 7, 1000])
+    def test_dither_rows_are_single_seed_dithers(self, bit_depth, n_meas):
+        ranges = np.array([[0.1], [1.0], [3.7], [1e-9], [250.0]])
+        column = QuantizerConfig(bit_depth, ranges)
+        stack = draw_dither(column, n_meas, SEEDS)
+        assert stack.values.shape == (len(SEEDS), n_meas) and stack.seed is None
+        shared = draw_dither(QuantizerConfig(bit_depth, 2.5), n_meas, SEEDS)
+        for i, seed in enumerate(SEEDS):
+            single = draw_dither(QuantizerConfig(bit_depth, ranges[i, 0]), n_meas, seed)
+            assert same_bits(stack.values[i], single.values) and single.seed == seed
+            assert same_bits(shared.values[i], draw_dither(QuantizerConfig(bit_depth, 2.5), n_meas, seed).values)
+
+    def test_dither_matches_two_uniform_draws(self):
+        # The draw applies Generator.uniform's own formula to Generator.random.
+        config = QuantizerConfig(1, 0.75)
+        for seed in range(50):
+            rng = np.random.Generator(np.random.Philox(seed))
+            half = 0.5 * config.step
+            want = rng.uniform(-half, half, size=300) + 1j * rng.uniform(-half, half, size=300)
+            assert same_bits(draw_dither(config, 300, seed).values, want)
+
+    def test_column_of_steps_needs_one_seed_per_row(self):
+        with pytest.raises(ValueError):
+            draw_dither(QuantizerConfig(1, np.ones((3, 1))), 8, [1, 2])
+        with pytest.raises(ValueError):
+            seed_rows([])
+
+    def test_range_rule_gives_one_range_per_row(self):
+        rng = np.random.default_rng(1)
+        raw = rng.normal(size=(4, 50)) + 1j * rng.normal(size=(4, 50))
+        for bit_depth, dithered in [(1, True), (3, True), (2, False), (None, False)]:
+            column = dynamic_range_for(raw, bit_depth, dithered)
+            assert column.shape == (4, 1)
+            for row, value in zip(raw, column[:, 0]):
+                assert value == dynamic_range_for(row, bit_depth, dithered)
+            assert same_bits(adapted_quantizer(raw, bit_depth, dithered).dynamic_range, column)
+        with pytest.raises(ValueError):
+            dynamic_range_for(np.vstack([raw[:1], np.zeros((1, 50))]), 1, True)
+
+
+class TestFullRampPlans:
+    @pytest.mark.parametrize("n_meas, draws", [(16, 0), (48, 0), (5, 3), (37, 3)])
+    def test_generators_built_only_for_drawn_samples(self, monkeypatch, n_meas, draws):
+        calls = []
+        original = signal_model.generator
+
+        def counting(seed):
+            calls.append(seed)
+            return original(seed)
+
+        monkeypatch.setattr(signal_model, "generator", counting)
+        make_sampling_plan(16, n_meas, [4, 5, 6])
+        assert len(calls) == draws
+        make_sampling_plan(16, n_meas, 4)
+        assert len(calls) == draws + (draws > 0)
+
+
+class TestOneBufferQuantizer:
+    @pytest.mark.parametrize("bit_depth", [1, 2, 3])
+    def test_equals_the_two_part_formula(self, bit_depth):
+        rng = np.random.default_rng(bit_depth)
+        random = rng.normal(size=200) + 1j * rng.normal(size=200)
+        huge = np.array([1e300 - 3e299j, -1e300 + 1e300j, 7e299 + 0j])
+        tiny = np.array([5e-324 - 5e-324j, -1e-310 + 2e-320j, 1e-300 + 0j])
+        zeros = np.array([0.0 + 0.0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+        for values in (random, huge, tiny, zeros, random.reshape(8, 25)):
+            for dynamic_range in (0.5, 1.0, 3.3):
+                config = QuantizerConfig(bit_depth, dynamic_range)
+                assert same_bits(quantize_complex(config, values), old_quantize(config, values))
+
+    def test_row_steps_equal_the_two_part_formula(self):
+        rng = np.random.default_rng(9)
+        values = rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40))
+        config = QuantizerConfig(2, np.array([[0.2], [1.0], [4.0]]))
+        assert same_bits(quantize_complex(config, values), old_quantize(config, values))
+
+    def test_input_is_not_modified(self):
+        values = np.random.default_rng(2).normal(size=64) + 0j
+        before = values.copy()
+        quantize_complex(QuantizerConfig(1, 2.0), values)
+        assert same_bits(values, before)
+
+
+class TestDefensiveCopies:
+    def test_writable_inputs_are_copied(self):
+        amps = np.array([0, 1 + 1j, 0, -2j])
+        omega = np.array([[0, 3], [1, 1]])
+        dither = np.array([0.1 + 0.2j, -0.3j])
+        profile = RangeProfile(amps)
+        plan = SamplingPlan(n_bins=4, n_meas=2, omega=omega, seed=None)
+        stacked = Dither(np.vstack([dither, dither]))
+        single = Dither(dither, seed=1)
+        amps[:] = 9
+        omega[:] = 2
+        dither[:] = 5
+        assert profile.amplitudes.tolist() == [0, 1 + 1j, 0, -2j]
+        assert plan.omega.tolist() == [[0, 3], [1, 1]]
+        assert single.values.tolist() == stacked.values[0].tolist() == [0.1 + 0.2j, -0.3j]
+
+    def test_read_only_owned_arrays_are_kept(self):
+        values = np.zeros((2, 3), complex)
+        values.flags.writeable = False
+        assert Dither(values).values is values
+        assert Dither(values[1], seed=2).values.base is values
+
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        base = np.zeros(4, complex)
+        view = base[:]
+        view.flags.writeable = False
+        profile = RangeProfile(view)
+        base[1] = 1
+        assert not profile.amplitudes.any()
