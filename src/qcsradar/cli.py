@@ -2,7 +2,8 @@
 
 All subcommands are deterministic given an explicit --seed.  Errors exit
 nonzero after printing a single ``error: <kind>: <reason>`` line to stderr;
-that includes argv the parser rejects (``config:``).
+that includes argv the parser rejects (``config:``) and sizes too large to
+allocate (``size:``).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from .ambiguity import ambiguity_report
 from .evaluation import run_grid
-from .io import Capture, _parse_bit_depth, parse_config, read_capture, write_capture, write_results
-from .quantization import adapted_quantizer, draw_dither, sense
+from .io import Capture, parse_config, read_capture, write_capture, write_results
+from .quantization import adapted_quantizer, check_bit_depth, draw_dither, sense
 from .recovery import RecoveryConfig, consistency, pbp, qiht
 from .seeding import derive_seed
 from .signal_model import (
@@ -58,6 +59,18 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _bit_depth(text: str):
+    """A bit depth from its text: an integer in [1, 32], or None for "unquantized"."""
+    if text == "unquantized":
+        return None
+    try:
+        value = int(text)
+        check_bit_depth(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -100,7 +113,7 @@ def _add_gen_capture(subparsers):
     p.add_argument("--out", required=True, help="capture payload path to write")
     p.add_argument("--n", type=int, default=256, help="number of range bins")
     p.add_argument("--meas", type=int, default=8192, help="number of measurements M")
-    p.add_argument("--bits", default="1", help="bit depth per component, or 'unquantized'")
+    p.add_argument("--bits", type=_bit_depth, default=1, help="bit depth per component, or 'unquantized'")
     p.add_argument("--dithered", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--sparsity", type=int, default=2, help="number of targets K")
     p.add_argument("--seed", type=int, default=0, help="master seed")
@@ -135,11 +148,8 @@ def _cmd_simulate(args) -> int:
         overrides["trials"] = args.trials
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    if overrides:
-        try:
-            config = dataclasses.replace(config, **overrides)
-        except ValueError as exc:
-            raise ValueError(f"config: {exc}") from None
+    with _argument_errors():
+        config = dataclasses.replace(config, **overrides)
     results = run_grid(config, max_workers=args.workers)
     if not results:
         raise ValueError("config: the grid contains no runnable points")
@@ -215,15 +225,7 @@ def _cmd_recover(args) -> int:
     return 0
 
 
-def _int_or_text(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return text
-
-
 def _cmd_gen_capture(args) -> int:
-    bits = _parse_bit_depth(_int_or_text(args.bits), "--bits values")
     with _argument_errors():
         radar = RadarParams(
             f0=args.f0, bandwidth=args.bandwidth, ramp_duration=args.ramp_duration, n_bins=args.n
@@ -231,8 +233,8 @@ def _cmd_gen_capture(args) -> int:
         profile = random_profile(args.n, args.sparsity, derive_seed(args.seed, "capture-profile"))
         plan = make_sampling_plan(args.n, args.meas, derive_seed(args.seed, "capture-plan"))
     raw = forward(plan, profile)
-    dithered = args.dithered and bits is not None
-    quantizer = adapted_quantizer(raw, bits, dithered)
+    dithered = args.dithered and args.bits is not None
+    quantizer = adapted_quantizer(raw, args.bits, dithered)
     dither = (
         draw_dither(quantizer, args.meas, derive_seed(args.seed, "capture-dither"))
         if dithered
@@ -248,7 +250,7 @@ def _cmd_gen_capture(args) -> int:
         "sidecar": sidecar,
         "n_bins": args.n,
         "n_meas": args.meas,
-        "bit_depth": "unquantized" if bits is None else bits,
+        "bit_depth": "unquantized" if args.bits is None else args.bits,
         "dithered": dithered,
         "seed": args.seed,
         "support_indices": indices,
@@ -289,6 +291,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (MemoryError, OverflowError) as exc:
+        # A size argv or a config allows, but no array can hold.
+        print(f"error: size: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -16,13 +16,18 @@ batch within CHUNK_ELEMENTS.
 :func:`run_grid` hands out (grid point, trial chunk) tasks, so a single
 point keeps every worker busy, and adds per-trial results up in trial order,
 so the aggregates do not depend on the worker count.
+
+Configs have one validation boundary: :class:`GridPoint` checks the rules
+of one point (algorithm, sparsity, bit depth, integer M),
+:class:`~qcsradar.recovery.RecoveryConfig` the QIHT settings, and
+:class:`ExperimentConfig` only what neither knows, then builds its points
+and one RecoveryConfig per sparsity.  Nothing else restates these rules.
 """
 
 from __future__ import annotations
 
 import contextlib
 import logging
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -75,10 +80,12 @@ class GridPoint:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.sparsity < 1:
             raise ValueError("sparsity must be >= 1")
-        if self.bitrate % self.bits_per_component != 0:
+        check_bit_depth(self.bit_depth)
+        rate, bits = self.bitrate, self.bits_per_component
+        if rate % bits != 0:
             raise ValueError(
-                f"bitrate {self.bitrate} is not a multiple of {self.bits_per_component} "
-                f"bits per component (bit depth {self.depth_label})"
+                f"bitrate {rate} with bit depth {self.depth_label} gives a non-integer "
+                f"measurement count ({rate}/{bits})"
             )
 
     @property
@@ -134,27 +141,13 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not self.sparsities or not self.bit_depths or not self.bitrates:
             raise ValueError("sparsities, bit_depths, and bitrates must be nonempty")
-        if any(k < 1 or k > self.n_bins for k in self.sparsities):
-            raise ValueError("every sparsity must lie in [1, n_bins]")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        # Checked for either algorithm, so that no bad value reaches a worker.
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ValueError(f"mu must be a finite number > 0, got {self.mu!r}")
-        if not 0.0 < self.consistency_target <= 1.0:
-            raise ValueError(f"consistency_target must lie in (0, 1], got {self.consistency_target!r}")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1 or null, got {self.max_iters!r}")
-        for b in self.bit_depths:
-            check_bit_depth(b)
-            bits = UNQUANTIZED_BITS if b is None else b
-            for rate in self.bitrates:
-                if rate % bits != 0:
-                    raise ValueError(
-                        f"bitrate {rate} with bit depth "
-                        f"{'unquantized' if b is None else b} gives a non-integer "
-                        f"measurement count ({rate}/{bits})"
-                    )
+        if any(k > self.n_bins for k in self.sparsities):
+            raise ValueError(f"every sparsity must be <= n_bins={self.n_bins}")
+        # The points check themselves, and so do the QIHT settings, for either
+        # algorithm, so that no bad value reaches a worker.
+        self.grid_points()
+        for k in self.sparsities:
+            RecoveryConfig(k, self.mu, self.max_iters, self.consistency_target)
 
     def grid_points(self) -> list:
         """All grid points in deterministic order (not yet range-checked)."""
@@ -346,12 +339,11 @@ def _aggregate_point(config: ExperimentConfig, point: GridPoint) -> AggregateRes
 
 
 def sort_key(point: GridPoint) -> tuple:
-    bits = UNQUANTIZED_BITS if point.bit_depth is None else point.bit_depth
     return (
         point.algorithm,
         point.dithered,
         point.bit_depth is None,
-        bits,
+        point.bits_per_component,
         point.sparsity,
         point.bitrate,
     )
@@ -365,9 +357,13 @@ def _resolve_workers(max_workers: Optional[int], n_tasks: int) -> int:
         cap = os.environ.get("QCS_THREADS")
         if cap is not None:
             try:
-                max_workers = min(max_workers, int(cap))
+                value = int(cap)
             except ValueError:
-                logger.warning("ignoring non-integer QCS_THREADS=%r", cap)
+                value = 0
+            if value >= 1:
+                max_workers = min(max_workers, value)
+            else:
+                logger.warning("ignoring QCS_THREADS=%r: not an integer >= 1", cap)
     return max(1, min(max_workers, n_tasks))
 
 

@@ -13,10 +13,15 @@ written in one call; explicit dither values go in and out of it as
 interleaved float64 arrays viewed as complex128, with no per-element Python
 loop, so every bit of each value, the sign of a zero included, survives the
 round trip.
+
+:func:`parse_config` checks a config file's JSON shape and types only; the
+values are checked where the evaluation types are built, which is the one
+config validation boundary (see :mod:`qcsradar.evaluation`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import logging
@@ -27,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .evaluation import ALGORITHMS, AggregateResult, ExperimentConfig, sort_key
-from .quantization import Dither, QuantizerConfig, check_bit_depth, draw_dither
+from .evaluation import AggregateResult, ExperimentConfig, sort_key
+from .quantization import Dither, QuantizerConfig, draw_dither
 from .signal_model import RadarParams, SamplingPlan, make_sampling_plan
 
 __all__ = [
@@ -49,19 +54,8 @@ CAPTURE_SCHEMA_VERSION = 1
 # larger is genuinely off-grid data from a foreign/scaled ADC.
 _GRID_SNAP_TOL = 1e-3
 
-_CONFIG_FIELDS = {
-    "n_bins",
-    "sparsities",
-    "bit_depths",
-    "bitrates",
-    "dithered",
-    "algorithm",
-    "trials",
-    "master_seed",
-    "mu",
-    "consistency_target",
-    "max_iters",
-}
+# The JSON spellings of an unquantized bit depth.
+_UNQUANTIZED = (None, "unquantized")
 
 RESULTS_HEADER = (
     "K,b,log2_bitrate,M,dithered,algorithm,trials,mean_tpr_pct,stderr_pct,mean_l2_error"
@@ -72,17 +66,8 @@ def _config_error(message: str) -> ValueError:
     return ValueError(f"config: {message}")
 
 
-def _parse_bit_depth(value, name: str = "bit_depths entries"):
-    """A bit depth in [1, 32], or None for ``"unquantized"`` (or JSON null)."""
-    if value is None or value == "unquantized":
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _config_error(f"{name} must be integers or \"unquantized\", got {value!r}")
-    try:
-        check_bit_depth(value)
-    except ValueError as exc:
-        raise _config_error(str(exc)) from None
-    return value
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -96,55 +81,41 @@ def parse_config(path) -> ExperimentConfig:
         raise _config_error(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise _config_error("top level must be a JSON object")
-    unknown = set(raw) - _CONFIG_FIELDS
+    unknown = set(raw) - {field.name for field in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise _config_error(f"unknown field(s): {', '.join(sorted(unknown))}")
 
+    # JSON shapes and types only: ExperimentConfig checks the values.
     fields = dict(raw)
     if "bit_depths" in fields:
-        if not isinstance(fields["bit_depths"], list):
-            raise _config_error("bit_depths must be a list")
-        fields["bit_depths"] = tuple(_parse_bit_depth(b) for b in fields["bit_depths"])
+        depths = fields["bit_depths"]
+        if not isinstance(depths, list) or not all(_is_int(b) or b in _UNQUANTIZED for b in depths):
+            raise _config_error(f'bit_depths entries must be integers or "unquantized", got {depths!r}')
+        fields["bit_depths"] = tuple(None if b in _UNQUANTIZED else b for b in depths)
     for key in ("sparsities", "bitrates"):
-        if key in fields:
-            if not isinstance(fields[key], list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in fields[key]
-            ):
-                raise _config_error(f"{key} must be a list of integers")
+        if key in fields and not (isinstance(fields[key], list) and all(map(_is_int, fields[key]))):
+            raise _config_error(f"{key} must be a list of integers")
     for key in ("n_bins", "trials", "master_seed"):
-        if key in fields and (isinstance(fields[key], bool) or not isinstance(fields[key], int)):
+        if key in fields and not _is_int(fields[key]):
             raise _config_error(f"{key} must be an integer")
     for key in ("mu", "consistency_target"):
         if key in fields and (isinstance(fields[key], bool) or not isinstance(fields[key], (int, float))):
             raise _config_error(f"{key} must be a number")
-    if "max_iters" in fields and fields["max_iters"] is not None:
-        if isinstance(fields["max_iters"], bool) or not isinstance(fields["max_iters"], int):
-            raise _config_error("max_iters must be an integer or null")
+    if fields.get("max_iters") is not None and not _is_int(fields["max_iters"]):
+        raise _config_error("max_iters must be an integer or null")
     if "dithered" in fields and not isinstance(fields["dithered"], bool):
         raise _config_error(f"dithered must be a boolean, got {fields['dithered']!r}")
-    if "algorithm" in fields and fields["algorithm"] not in ALGORITHMS:
-        raise _config_error(f"algorithm must be one of {ALGORITHMS}, got {fields['algorithm']!r}")
     try:
         return ExperimentConfig(**fields)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise _config_error(str(exc)) from None
 
 
 def config_to_json(config: ExperimentConfig) -> dict:
     """Dump a configuration to its JSON form (round-trips through parse)."""
-    return {
-        "n_bins": config.n_bins,
-        "sparsities": list(config.sparsities),
-        "bit_depths": ["unquantized" if b is None else b for b in config.bit_depths],
-        "bitrates": list(config.bitrates),
-        "dithered": config.dithered,
-        "algorithm": config.algorithm,
-        "trials": config.trials,
-        "master_seed": config.master_seed,
-        "mu": config.mu,
-        "consistency_target": config.consistency_target,
-        "max_iters": config.max_iters,
-    }
+    fields = {key: list(v) if isinstance(v, tuple) else v for key, v in dataclasses.asdict(config).items()}
+    fields["bit_depths"] = ["unquantized" if b is None else b for b in config.bit_depths]
+    return fields
 
 
 def _format_result_row(result: AggregateResult) -> str:
@@ -330,7 +301,7 @@ def read_capture(path) -> Capture:
         raise _capture_error(f"unknown schema version {version!r}")
     n_bins = _field(sidecar, "n_bins", int)
     n_meas = _field(sidecar, "n_meas", int)
-    if "bit_depth" in sidecar and sidecar["bit_depth"] in (None, "unquantized"):
+    if "bit_depth" in sidecar and sidecar["bit_depth"] in _UNQUANTIZED:
         bit_depth = None
     else:
         bit_depth = _field(sidecar, "bit_depth", int)

@@ -69,7 +69,8 @@ class RecoveryConfig:
         if self.sparsity < 1:
             raise ValueError("sparsity must be >= 1")
         if not (math.isfinite(self.step_size) and self.step_size > 0):
-            raise ValueError(f"step_size must be a finite number > 0, got {self.step_size!r}")
+            # Named as the config field and the --mu flag that set it.
+            raise ValueError(f"mu must be a finite number > 0, got {self.step_size!r}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
         if not 0.0 < self.consistency_target <= 1.0:

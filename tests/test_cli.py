@@ -211,6 +211,35 @@ class TestAmbiguityCommand:
         assert stderr.startswith("error: config:") and stderr.count("\n") == 1
 
 
+class TestSizeErrors:
+    """Sizes that parse but that no array can hold end in one ``size:`` line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-capture", "--n", "64", "--meas", str(2**40)],
+            ["gen-capture", "--n", str(2**70)],
+            ["ambiguity", "--n", str(2**40), "--meas", "64", "--seeds", "2"],
+        ],
+    )
+    def test_huge_argv_sizes(self, tmp_path, capsys, argv):
+        if argv[0] == "gen-capture":
+            argv = argv + ["--out", str(tmp_path / "c.iq")]
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: size:") and stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("n_bins", [2**40, 2**70])
+    def test_huge_config_bins(self, tmp_path, capsys, n_bins):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_bins": n_bins, "bitrates": [64], "trials": 1}))
+        out = tmp_path / "r.csv"
+        code, stdout, stderr = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out), "--workers", "1")
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: size:") and stderr.count("\n") == 1
+        assert not out.exists()
+
+
 class TestSimulateCommand:
     def _write_config(self, tmp_path, **overrides):
         config = {

@@ -43,6 +43,11 @@ class TestGridPoint:
         with pytest.raises(ValueError):
             GridPoint(2, 3, 10, True, "pbp")
 
+    @pytest.mark.parametrize("bits", [0, -1, 33])
+    def test_bit_depth_out_of_range_rejected(self, bits):
+        with pytest.raises(ValueError, match="bit depth"):
+            GridPoint(2, bits, 64, True, "pbp")
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             GridPoint(2, 1, 64, True, "omp")
@@ -175,11 +180,15 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="max_workers"):
             run_grid(config, max_workers=workers)
 
-    def test_worker_cap_from_environment(self, monkeypatch):
+    @pytest.mark.parametrize("ignored", ["0", "-3", "junk"])
+    def test_worker_cap_from_environment(self, monkeypatch, caplog, ignored):
         monkeypatch.setenv("QCS_THREADS", "1")
         assert _resolve_workers(None, 8) == 1
-        monkeypatch.setenv("QCS_THREADS", "junk")
-        assert _resolve_workers(None, 8) >= 1
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setenv("QCS_THREADS", ignored)
+        with caplog.at_level(logging.WARNING, logger="qcsradar.evaluation"):
+            assert _resolve_workers(None, 8) == 4
+        assert "ignoring" in caplog.text and f"QCS_THREADS={ignored!r}" in caplog.text
         monkeypatch.delenv("QCS_THREADS")
         assert _resolve_workers(4, 2) == 2
 
