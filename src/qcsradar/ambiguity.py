@@ -14,8 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .quantization import Dither, QuantizerConfig, adapted_quantizer, draw_dither, sense
-from .seeding import derive_seed
+from .evaluation import CHUNK_ELEMENTS
+from .quantization import Dither, QuantizerConfig, _acquire, adapted_quantizer, draw_dither, sense
+from .seeding import SeedStack, derive_seed, derive_seeds
 from .signal_model import RangeProfile, SamplingPlan, forward, make_sampling_plan
 
 __all__ = [
@@ -151,11 +152,19 @@ def ambiguity_report(
 
     margin = quadrant_margin(plan, pair.base)
     undithered = ambiguity_holds(plan, undithered_cfg, pair, dither=None)
+    # The dithers are drawn as (T, M) stacks, and each scene is sensed
+    # through all of a stack's rows at once: row i is Q(forward(scene) +
+    # dither i), as sense computes it for that one dither.  The dither and
+    # the two sensed stacks together hold at most CHUNK_ELEMENTS values.
+    seeds = SeedStack(derive_seeds(seed, ("ambiguity-dither",), range(n_seeds)))
+    r_base, r_alt = forward(plan, pair.base), forward(plan, pair.alternate)
+    rows = max(1, CHUNK_ELEMENTS // (3 * n_meas))
     hits = 0
-    for s in range(n_seeds):
-        dither = draw_dither(dithered_cfg, n_meas, derive_seed(seed, "ambiguity-dither", s))
-        if ambiguity_holds(plan, dithered_cfg, pair, dither):
-            hits += 1
+    for lo in range(0, n_seeds, rows):
+        dither = draw_dither(dithered_cfg, n_meas, seeds[lo : lo + rows])
+        y_base = _acquire(dithered_cfg, None, r_base + dither.values)
+        y_alt = _acquire(dithered_cfg, None, r_alt + dither.values)
+        hits += int(np.count_nonzero(np.all(y_base == y_alt, axis=1)))
     return {
         "margin": margin,
         "condition_holds": bool(margin > gamma),

@@ -290,7 +290,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # numpy reports an array of more than 2**63 bytes as a ValueError.
+        kind = "size: " if str(exc).startswith("array is too big") else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 1
     except (MemoryError, OverflowError) as exc:
         # A size argv or a config allows, but no array can hold.

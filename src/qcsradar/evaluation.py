@@ -12,7 +12,10 @@ Trials run in chunks (:func:`run_trials`): every trial draws from its own
 sub-seeds and gets its own range-adapted quantizer, but the chunk is drawn
 as stacked arrays (each draw takes the chunk's T seeds, and one range rule
 gives a (T, 1) column of ranges), then sensed and recovered as one (T, M)
-batch within CHUNK_ELEMENTS.
+batch within CHUNK_ELEMENTS.  The chunk's 3T seeds are one
+:class:`~qcsradar.seeding.SeedStack`, so their Philox keys are derived in one
+pass and each draw re-keys a single generator row by row; ``forward`` runs
+once per chunk, and its output takes the dither and the quantizer in place.
 :func:`run_grid` hands out (grid point, trial chunk) tasks, so a single
 point keeps every worker busy, and adds per-trial results up in trial order,
 so the aggregates do not depend on the worker count.
@@ -35,9 +38,9 @@ from typing import Optional
 
 import numpy as np
 
-from .quantization import UNQUANTIZED_BITS, adapted_quantizer, check_bit_depth, draw_dither, sense
+from .quantization import UNQUANTIZED_BITS, _acquire, adapted_quantizer, check_bit_depth, draw_dither
 from .recovery import RecoveryConfig, pbp, qiht_batch
-from .seeding import derive_seed
+from .seeding import SeedStack, derive_seeds
 from .signal_model import forward, make_sampling_plan, random_profile
 
 __all__ = [
@@ -211,28 +214,29 @@ def run_trials(
 
     Each trial draws its profile, plan, and dither from its own sub-seeds of
     ``master_seed`` and gets its own range-adapted quantizer; the draws take
-    the chunk's T seeds at once and return (T, N) and (T, M) stacks.  The
-    batch is then sensed, recovered with the point's algorithm, and scored
-    for support recovery and l2 error, trial by trial.
+    the chunk's T seeds at once, keyed together, and return (T, N) and
+    (T, M) stacks.  One ``forward`` pass sizes the ranges and is then
+    dithered and quantized in its own buffer.  The batch is recovered with
+    the point's algorithm and scored for support recovery and l2 error,
+    trial by trial.
     """
     k, m, b = point.sparsity, point.n_meas, point.bit_depth
-    seeds = [
-        (
-            derive_seed(master_seed, "profile", n_bins, k, trial_index),
-            derive_seed(master_seed, "plan", n_bins, m, trial_index),
-            derive_seed(master_seed, "dither", n_bins, m, b, trial_index),
-        )
-        for trial_index in trial_indices
-    ]
-    profile_seeds, plan_seeds, dither_seeds = zip(*seeds)
-    truth = random_profile(n_bins, k, profile_seeds)
-    plan = make_sampling_plan(n_bins, m, plan_seeds)
-    quantizer = adapted_quantizer(forward(plan, truth), b, point.effective_dithered)
-    dither = draw_dither(quantizer, m, dither_seeds) if point.effective_dithered else None
-    y = sense(plan, quantizer, dither, truth)
+    t = len(trial_indices)
+    # All 3T seeds form one stack, so their Philox keys are derived in one pass.
+    stack = SeedStack(
+        derive_seeds(master_seed, ("profile", n_bins, k), trial_indices)
+        + derive_seeds(master_seed, ("plan", n_bins, m), trial_indices)
+        + derive_seeds(master_seed, ("dither", n_bins, m, b), trial_indices)
+    )
+    truth = random_profile(n_bins, k, stack[:t])
+    plan = make_sampling_plan(n_bins, m, stack[t : 2 * t])
+    r = forward(plan, truth)
+    quantizer = adapted_quantizer(r, b, point.effective_dithered)
+    dither = draw_dither(quantizer, m, stack[2 * t :]) if point.effective_dithered else None
+    y = _acquire(quantizer, dither, r)
 
     if point.algorithm == "pbp":
-        estimates, iterations = pbp(plan, y, k), [0] * len(seeds)
+        estimates, iterations = pbp(plan, y, k), [0] * t
     else:
         recovery = RecoveryConfig(
             sparsity=k,
@@ -256,7 +260,7 @@ def run_trials(
             # The 1-D norm of the row, as a single trial computes it.
             l2_error=float(np.linalg.norm(truth[i] - estimates[i])),
             iterations=int(iterations[i]),
-            seed_tuple=seeds[i],
+            seed_tuple=tuple(stack.seeds[i :: t]),
         )
         for i, trial_index in enumerate(trial_indices)
     ]

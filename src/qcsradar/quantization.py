@@ -22,8 +22,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .seeding import generator, seed_rows
-from .signal_model import ProfileLike, SamplingPlan, _readonly, forward
+from .seeding import seed_rows
+from .signal_model import ProfileLike, SamplingPlan, _Owned, _readonly, forward
 
 __all__ = [
     "UNQUANTIZED_BITS",
@@ -93,10 +93,10 @@ class Dither:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = _readonly(self.values, np.complex128)
         if vals.ndim != 1 and (vals.ndim != 2 or self.seed is not None):
             raise ValueError("dither values must be a 1-D complex vector (or an unseeded stack)")
-        object.__setattr__(self, "values", _readonly(vals))
+        object.__setattr__(self, "values", vals)
 
     @property
     def n_meas(self) -> int:
@@ -117,8 +117,11 @@ def quantize_complex(config: QuantizerConfig, values: np.ndarray) -> np.ndarray:
     """
     if not config.quantized:
         raise ValueError("cannot quantize with an unquantized configuration")
-    step = config.step
-    out = np.array(values, dtype=np.complex128)
+    return _quantize_in_place(config.step, np.array(values, dtype=np.complex128))
+
+
+def _quantize_in_place(step, out: np.ndarray) -> np.ndarray:
+    """Overwrite the complex128 array ``out`` with its quantized values and return it."""
     # A (T, 1) column of steps broadcasts over the 2M parts of each row.
     parts = np.atleast_1d(out).view(np.float64)
     np.divide(parts, step, out=parts)
@@ -167,14 +170,14 @@ def draw_dither(config: QuantizerConfig, n_meas: int, seed) -> Dither:
     """
     if not config.quantized:
         raise ValueError("dither is only defined for quantized configurations")
-    seeds, stacked = seed_rows(seed)
+    rows, stacked = seed_rows(seed)
     half = 0.5 * config.step
-    values = np.empty((len(seeds), n_meas), dtype=np.complex128)
-    pairs = values.view(np.float64).reshape(len(seeds), n_meas, 2)
+    values = np.empty((len(rows), n_meas), dtype=np.complex128)
+    pairs = values.view(np.float64).reshape(len(rows), n_meas, 2)
     uniforms = np.empty((2, n_meas))
-    for row, s in zip(pairs, seeds):
+    for row, g in zip(pairs, rows.generators()):
         # The real parts, then the imaginary parts, as two uniform() calls draw them.
-        generator(s).random(out=uniforms)
+        g.random(out=uniforms)
         row[...] = uniforms.T
     # Generator.uniform(low, high) computes low + (high - low) * u; applied
     # here to the whole stack, with low = -half and high - low = half + half.
@@ -182,7 +185,7 @@ def draw_dither(config: QuantizerConfig, n_meas: int, seed) -> Dither:
     parts *= half + half
     parts += -half
     values.flags.writeable = False
-    return Dither(values=values, seed=None) if stacked else Dither(values=values[0], seed=int(seed))
+    return Dither(values=_Owned(values), seed=None) if stacked else Dither(values=_Owned(values[0]), seed=int(seed))
 
 
 def sense(
@@ -197,13 +200,24 @@ def sense(
     dither is given; unquantized mode returns the raw measurements (a dither
     is rejected there, since it would only add noise).
     """
-    r = forward(plan, profile)
+    return _acquire(config, dither, forward(plan, profile))
+
+
+def _acquire(config: QuantizerConfig, dither: Optional[Dither], measurements: np.ndarray) -> np.ndarray:
+    """The acquisition step of :func:`sense` on measurements its caller owns.
+
+    Adds the dither to ``measurements`` and quantizes them in place, in that
+    same buffer, so a caller that has already computed ``forward`` (to size
+    the dynamic range, say) neither recomputes nor copies it.  The buffer
+    must be a complex128 array nothing else uses; unquantized mode returns
+    it untouched.
+    """
     if not config.quantized:
         if dither is not None:
             raise ValueError("unquantized sensing does not accept a dither")
-        return r
+        return measurements
     if dither is not None:
-        if dither.n_meas != plan.n_meas:
-            raise ValueError(f"dither length {dither.n_meas} does not match n_meas={plan.n_meas}")
-        r += dither.values  # r is this call's own forward output
-    return quantize_complex(config, r)
+        if dither.n_meas != measurements.shape[-1]:
+            raise ValueError(f"dither length {dither.n_meas} does not match n_meas={measurements.shape[-1]}")
+        measurements += dither.values
+    return _quantize_in_place(config.step, measurements)

@@ -17,7 +17,9 @@ stacked plan, quantizer and dither are T independent trials, and each row
 follows exactly the iteration and stop rule of a single trial
 (:func:`qiht_batch`).  A row that stops leaves the batch, so later
 iterations only pay for the rows still running.  :func:`pbp` and
-:func:`qiht` are the single-trial case.
+:func:`qiht` are the single-trial case.  :func:`hard_threshold` finds each
+row's K-th largest modulus by partition rather than sorting all N bins,
+and keeps exactly the bins a stable sort would.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .quantization import Dither, QuantizerConfig, sense
-from .signal_model import RangeProfile, SamplingPlan, adjoint
+from .signal_model import RangeProfile, SamplingPlan, _Owned, adjoint
 
 __all__ = [
     "MIN_STOP_ITERS",
@@ -68,7 +70,11 @@ class RecoveryConfig:
     def __post_init__(self):
         if self.sparsity < 1:
             raise ValueError("sparsity must be >= 1")
-        if not (math.isfinite(self.step_size) and self.step_size > 0):
+        try:
+            step_ok = math.isfinite(self.step_size) and self.step_size > 0
+        except OverflowError:  # an integer too large for any float
+            step_ok = False
+        if not step_ok:
             # Named as the config field and the --mu flag that set it.
             raise ValueError(f"mu must be a finite number > 0, got {self.step_size!r}")
         if self.max_iters is not None and self.max_iters < 1:
@@ -95,19 +101,28 @@ def hard_threshold(values: np.ndarray, sparsity: int) -> np.ndarray:
     """Keep the K largest-modulus components (of each row), zero the rest.
 
     Ties at the K-th modulus are broken toward the lowest index, so the
-    result is deterministic.
+    result is deterministic.  Each row's K-th largest modulus is found by
+    partition, not by sorting all N bins: the bins strictly above it are
+    kept, then the ties fill the remaining places, lowest index first.  A
+    NaN modulus (from a diverged iterate) ranks below every number, so a row
+    with fewer than K non-NaN bins keeps them all and fills up from its NaN
+    bins, lowest index first, exactly as a stable sort would.
     """
     v = np.asarray(values, dtype=np.complex128)
     n = v.shape[-1]
     if not 1 <= sparsity <= n:
         raise ValueError(f"sparsity must be in [1, {n}], got {sparsity}")
     rows = v.reshape(-1, n)
-    # Stable sort on descending modulus keeps the lowest index among ties.
-    keep = np.argsort(-np.abs(rows), kind="stable")[:, :sparsity] + n * np.arange(len(rows))[:, None]
-    flat = rows.ravel()
-    out = np.zeros_like(flat)
-    out[keep] = flat[keep]
-    return out.reshape(v.shape)
+    # Rank on -|v|, ascending, with NaN as +inf (last, as sorts place NaN).
+    rank = np.abs(rows)
+    np.negative(rank, out=rank)
+    rank[np.isnan(rank)] = np.inf
+    kth = np.partition(rank, sparsity - 1, axis=1)[:, sparsity - 1 : sparsity]
+    keep = rank < kth
+    ties = rank == kth
+    places = sparsity - np.count_nonzero(keep, axis=1, keepdims=True)
+    keep |= ties & (np.cumsum(ties, axis=1) <= places)
+    return np.where(keep, rows, 0).reshape(v.shape)
 
 
 def pbp(plan: SamplingPlan, measurements: np.ndarray, sparsity: int):
@@ -256,8 +271,9 @@ def qiht(
         raise ValueError(f"measurement length {y.shape} does not match n_meas={plan.n_meas}")
     if dither is not None and config.quantized and dither.n_meas != plan.n_meas:
         raise ValueError(f"dither length {dither.n_meas} does not match n_meas={plan.n_meas}")
-    stacked_dither = None if dither is None else Dither(dither.values[None])
+    # One-row views of the plan's and dither's own read-only arrays, uncopied.
+    stacked_dither = None if dither is None else Dither(_Owned(dither.values[None]))
     (estimate,), (iterations,), (final,), (reason,) = qiht_batch(
-        replace(plan, omega=plan.omega[None]), config, stacked_dither, y[None], recovery
+        replace(plan, omega=_Owned(plan.omega[None])), config, stacked_dither, y[None], recovery
     )
     return RecoveryResult(RangeProfile(estimate), int(iterations), float(final), reason)

@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .seeding import generator, seed_rows
+from .seeding import seed_rows
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -42,19 +42,28 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 ProfileLike = Union["RangeProfile", np.ndarray]
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    """``arr`` itself if nothing can write to it, else a read-only copy.
+class _Owned:
+    """An array a draw has just made and set read-only, handed over without a copy.
 
-    An array is kept when it and every array it views are read-only and the
-    last of them owns its data, as the draws hand over; a caller's writable
-    array is copied, so later writes to it do not reach the copy.
+    Only the package wraps arrays this way, and only arrays no caller holds
+    a writable reference to; anything else a dataclass is given is copied.
     """
-    base = arr
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        if base.base is None:
-            return arr
-        base = base.base
-    arr = np.array(arr, copy=True)
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _readonly(value, dtype) -> np.ndarray:
+    """A read-only ``dtype`` copy of ``value``, or the array a draw hands over as :class:`_Owned`.
+
+    A caller's array is always copied, whatever its flags say: its owner can
+    make it writable again, and later writes must not reach the copy.
+    """
+    if isinstance(value, _Owned):
+        return value.array
+    arr = np.array(value, dtype=dtype, copy=True)
     arr.flags.writeable = False
     return arr
 
@@ -96,10 +105,10 @@ class RangeProfile:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = _readonly(self.amplitudes, np.complex128)
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amplitudes must be a nonempty 1-D complex vector")
-        object.__setattr__(self, "amplitudes", _readonly(amps))
+        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def n_bins(self) -> int:
@@ -131,12 +140,12 @@ class SamplingPlan:
     seed: Optional[int]
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=np.int64)
+        omega = _readonly(self.omega, np.int64)
         if omega.ndim not in (1, 2) or omega.shape[-1] != self.n_meas:
             raise ValueError("omega must hold exactly n_meas indices")
         if omega.size and (omega.min() < 0 or omega.max() >= self.n_bins):
             raise ValueError("omega indices must lie in [0, n_bins)")
-        object.__setattr__(self, "omega", _readonly(omega))
+        object.__setattr__(self, "omega", omega)
         # Row i's indices offset by i*N into the flattened (T, N) spectrum,
         # so one gather or one bincount serves every row of a stack.
         flat = omega if omega.ndim == 1 else omega + self.n_bins * np.arange(len(omega))[:, None]
@@ -155,19 +164,19 @@ def make_sampling_plan(n_bins: int, n_meas: int, seed) -> SamplingPlan:
     """
     if n_bins < 1 or n_meas < 1:
         raise ValueError("n_bins and n_meas must be >= 1")
-    seeds, stacked = seed_rows(seed)
+    rows, stacked = seed_rows(seed)
     full, remainder = divmod(n_meas, n_bins)
-    omega = np.empty((len(seeds), n_meas), dtype=np.int64)
+    omega = np.empty((len(rows), n_meas), dtype=np.int64)
     omega[:, : full * n_bins] = np.tile(np.arange(n_bins, dtype=np.int64), full)
     if remainder:
         partial = omega[:, full * n_bins :]
-        for row, s in zip(partial, seeds):
-            row[:] = generator(s).choice(n_bins, size=remainder, replace=False)
+        for row, g in zip(partial, rows.generators()):
+            row[:] = g.choice(n_bins, size=remainder, replace=False)
         partial.sort(axis=1)
     omega.flags.writeable = False  # nothing else holds it: the plan keeps it uncopied
     if stacked:
-        return SamplingPlan(n_bins=n_bins, n_meas=n_meas, omega=omega, seed=None)
-    return SamplingPlan(n_bins=n_bins, n_meas=n_meas, omega=omega[0], seed=int(seed))
+        return SamplingPlan(n_bins=n_bins, n_meas=n_meas, omega=_Owned(omega), seed=None)
+    return SamplingPlan(n_bins=n_bins, n_meas=n_meas, omega=_Owned(omega[0]), seed=int(seed))
 
 
 def _as_amplitudes(profile: ProfileLike, plan: SamplingPlan) -> np.ndarray:
@@ -217,12 +226,11 @@ def random_profile(n_bins: int, sparsity: int, rng):
     """
     if not 1 <= sparsity <= n_bins:
         raise ValueError(f"sparsity must be in [1, {n_bins}], got {sparsity}")
-    seeds, stacked = seed_rows(rng)
-    support = np.empty((len(seeds), sparsity), dtype=np.int64)
-    moduli = np.empty((len(seeds), sparsity))
-    phases = np.empty((len(seeds), sparsity))
-    for i, s in enumerate(seeds):
-        g = generator(s)
+    rows, stacked = seed_rows(rng)
+    support = np.empty((len(rows), sparsity), dtype=np.int64)
+    moduli = np.empty((len(rows), sparsity))
+    phases = np.empty((len(rows), sparsity))
+    for i, g in enumerate(rows.generators()):
         support[i] = g.choice(n_bins, size=sparsity, replace=False)
         moduli[i] = g.uniform(0.0, 1.0, size=sparsity)
         phases[i] = g.uniform(0.0, 2.0 * np.pi, size=sparsity)
@@ -230,11 +238,11 @@ def random_profile(n_bins: int, sparsity: int, rng):
         while np.any(moduli[i] == 0.0):
             redraw = moduli[i] == 0.0
             moduli[i, redraw] = g.uniform(0.0, 1.0, size=int(redraw.sum()))
-    amps = np.zeros((len(seeds), n_bins), dtype=np.complex128)
+    amps = np.zeros((len(rows), n_bins), dtype=np.complex128)
     np.put_along_axis(amps, support, moduli * np.exp(1j * phases), axis=1)
     amps /= np.max(np.abs(amps), axis=1, keepdims=True)
     amps.flags.writeable = False
-    return amps if stacked else RangeProfile(amplitudes=amps[0])
+    return amps if stacked else RangeProfile(amplitudes=_Owned(amps[0]))
 
 
 def bin_to_range(params: RadarParams, bin_index: int) -> float:

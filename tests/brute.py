@@ -2,11 +2,15 @@
 
 Everything here is written as plain loops over math/cmath scalars, on
 purpose: these functions must not share code (or vectorization strategy)
-with the package they check.
+with the package they check.  The one exception is
+:func:`hard_threshold_argsort`, a row loop over a stable sort, because
+Python's ``sorted`` cannot order NaN keys.
 """
 
 import cmath
 import math
+
+import numpy as np
 
 
 def forward_loop(omega, amplitudes, n_bins):
@@ -36,6 +40,21 @@ def hard_threshold_sorted(values, sparsity):
     order = sorted(range(len(values)), key=lambda i: (-abs(values[i]), i))
     keep = set(order[:sparsity])
     return [v if i in keep else 0j for i, v in enumerate(values)]
+
+
+def hard_threshold_argsort(rows, sparsity):
+    """Per row, keep the first K bins of a stable argsort of -|v|; zero the rest.
+
+    Ties go to the lowest index and NaN moduli sort after every number, so a
+    row with fewer than K non-NaN bins keeps them all, then its lowest NaN
+    bins.
+    """
+    rows = np.asarray(rows, dtype=np.complex128)
+    out = np.zeros_like(rows)
+    for row, kept in zip(rows, out):
+        keep = np.argsort(-np.abs(row), kind="stable")[:sparsity]
+        kept[keep] = row[keep]
+    return out
 
 
 def midrise_scalar(value, step):

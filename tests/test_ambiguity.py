@@ -10,7 +10,8 @@ from qcsradar.ambiguity import (
     check_margin,
     quadrant_margin,
 )
-from qcsradar.quantization import QuantizerConfig, draw_dither
+from qcsradar.evaluation import CHUNK_ELEMENTS
+from qcsradar.quantization import QuantizerConfig, adapted_quantizer, draw_dither
 from qcsradar.seeding import derive_seed
 from qcsradar.signal_model import forward, make_sampling_plan
 
@@ -175,3 +176,46 @@ class TestReport:
         assert report["margin"] == pytest.approx(SQRT2_2, abs=1e-12)
         assert report["n_seeds"] == 25
         assert ambiguity_report(**kwargs) == report
+
+    def test_stacked_dithers_give_the_per_seed_report(self):
+        # The report draws its dithers in stacks of at most CHUNK_ELEMENTS
+        # values; this per-seed loop is how it drew them one at a time.
+        def per_seed_report(n_bins, bin_base, bin_extra, phase_base, phase_extra, gamma, n_meas, n_seeds, seed,
+                            bit_depth):
+            pair = build_pair(n_bins, bin_base, bin_extra, phase_base, phase_extra, gamma)
+            plan = make_sampling_plan(n_bins, n_meas, derive_seed(seed, "ambiguity-plan", n_bins, n_meas))
+            both = np.concatenate([forward(plan, pair.base), forward(plan, pair.alternate)])
+            undithered_cfg = adapted_quantizer(both, bit_depth, dithered=False)
+            dithered_cfg = adapted_quantizer(both, bit_depth, dithered=True)
+            margin = quadrant_margin(plan, pair.base)
+            hits = 0
+            for s in range(n_seeds):
+                dither = draw_dither(dithered_cfg, n_meas, derive_seed(seed, "ambiguity-dither", s))
+                hits += ambiguity_holds(plan, dithered_cfg, pair, dither)
+            return {
+                "margin": margin,
+                "condition_holds": bool(margin > gamma),
+                "undithered_AC": ambiguity_holds(plan, undithered_cfg, pair),
+                "dithered_AC_rate": hits / n_seeds,
+                "n_seeds": n_seeds,
+            }
+
+        rng = np.random.default_rng(12)
+        rates = []
+        for case in range(45):
+            n_bins = int(rng.choice([16, 64, 256]))
+            bin_base, bin_extra = (int(b) + 1 for b in rng.choice(n_bins, size=2, replace=False))
+            kwargs = dict(
+                n_bins=n_bins, bin_base=bin_base, bin_extra=bin_extra,
+                phase_base=float(rng.uniform(-np.pi, np.pi)), phase_extra=float(rng.uniform(-np.pi, np.pi)),
+                gamma=float(rng.choice([0.001, 0.01, 0.05, 0.3])),
+                # Large M with many seeds splits the dithers over several stacks.
+                n_meas=int(rng.choice([8, 20, 64, 300, 4000])), n_seeds=int(rng.integers(1, 60)),
+                seed=int(rng.integers(0, 2**63)), bit_depth=case % 3 + 1,
+            )
+            report = ambiguity_report(**kwargs)
+            assert report == per_seed_report(**kwargs), kwargs
+            several_stacks = 3 * kwargs["n_meas"] * kwargs["n_seeds"] > CHUNK_ELEMENTS
+            rates.append((report["dithered_AC_rate"], several_stacks))
+        # Some cases mix both outcomes over dithers drawn in several stacks.
+        assert any(0.0 < rate < 1.0 and several for rate, several in rates)

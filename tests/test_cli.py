@@ -229,7 +229,9 @@ class TestSizeErrors:
         assert code == 1 and stdout == ""
         assert stderr.startswith("error: size:") and stderr.count("\n") == 1
 
-    @pytest.mark.parametrize("n_bins", [2**40, 2**70])
+    # numpy raises MemoryError at 2^40, ValueError ("array is too big") from
+    # 2^59 on, and OverflowError at 2^70.
+    @pytest.mark.parametrize("n_bins", [2**40, 2**62, 2**70])
     def test_huge_config_bins(self, tmp_path, capsys, n_bins):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_bins": n_bins, "bitrates": [64], "trials": 1}))
@@ -305,6 +307,13 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert stderr.startswith("error: config:") and stderr.count("\n") == 1
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("field", ["mu", "consistency_target"])
+    def test_integer_too_large_for_a_float_names_its_field(self, tmp_path, capsys, field):
+        cfg = self._write_config(tmp_path, algorithm="qiht", **{field: 10**400})
+        code, _, stderr = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv"))
+        assert code == 1 and stderr.startswith(f"error: config: {field} ") and stderr.count("\n") == 1
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])

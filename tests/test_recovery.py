@@ -54,6 +54,48 @@ class TestHardThreshold:
             hard_threshold(np.ones(3, complex), 0)
 
 
+def threshold_rows(kind, t, n, rng):
+    """(t, n) rows of one kind: the edge cases of a K-th largest modulus."""
+    if kind == "tied":
+        return rng.integers(-2, 3, size=(t, n)) + 1j * rng.integers(-2, 3, size=(t, n))
+    if kind == "all_equal":
+        return np.full((t, n), 1 - 1j)
+    if kind == "all_zero":
+        return np.zeros((t, n), complex) * np.where(rng.random((t, n)) < 0.5, -1, 1)  # signed zeros
+    rows = rng.normal(size=(t, n)) + 1j * rng.normal(size=(t, n))
+    if kind == "nan_heavy":  # fewer than K non-NaN bins in most rows
+        rows[rng.random((t, n)) < 0.9] = complex(np.nan, 0.0)
+        rows[rng.random((t, n)) < 0.05] = complex(0.0, np.nan)
+        rows[rng.random((t, n)) < 0.05] = complex(np.inf, np.nan)  # modulus inf, not NaN
+    elif kind == "infinite":
+        rows[rng.random((t, n)) < 0.2] = complex(np.inf, 0.0)
+        rows[rng.random((t, n)) < 0.2] = complex(0.0, -np.inf)
+        rows[rng.random((t, n)) < 0.2] = complex(-np.inf, np.inf)
+    return rows
+
+
+class TestHardThresholdByPartition:
+    """The partition threshold equals a stable argsort, bit for bit, on every kind of row."""
+
+    @pytest.mark.parametrize("kind", ["tied", "all_equal", "all_zero", "nan_heavy", "infinite", "random"])
+    @pytest.mark.parametrize("t", [1, 7, 64])
+    def test_rows_equal_the_argsort_oracle(self, kind, t):
+        rng = np.random.default_rng(t)
+        for n, k in [(32, 1), (32, 2), (64, 10), (16, 16)]:
+            rows = threshold_rows(kind, t, n, rng)
+            got, want = hard_threshold(rows, k), brute.hard_threshold_argsort(rows, k)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            if t == 1:
+                assert hard_threshold(rows[0], k).tobytes() == want[0].tobytes()
+
+    def test_nan_row_keeps_its_numbers_then_its_lowest_nans(self):
+        nan = complex(np.nan, 0.0)
+        row = np.array([nan, 0.5, nan, nan, 2.0, nan])
+        kept = hard_threshold(row, 4)
+        assert kept[[1, 4]].tolist() == [0.5, 2.0] and np.isnan(kept[[0, 2]]).all()
+        assert kept[3] == 0 and kept[5] == 0
+
+
 class TestPBP:
     def test_exact_inversion_full_sampling(self):
         n = 64

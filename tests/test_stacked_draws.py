@@ -7,7 +7,7 @@ engine draws whole chunks this way and the golden sweep pins its results.
 import numpy as np
 import pytest
 
-from qcsradar import signal_model
+from qcsradar import seeding
 from qcsradar.quantization import (
     Dither,
     QuantizerConfig,
@@ -118,18 +118,28 @@ class TestStackedDraws:
 class TestFullRampPlans:
     @pytest.mark.parametrize("n_meas, draws", [(16, 0), (48, 0), (5, 3), (37, 3)])
     def test_generators_built_only_for_drawn_samples(self, monkeypatch, n_meas, draws):
-        calls = []
-        original = signal_model.generator
+        # Counts both ways a draw gets generators: keys derived for a long
+        # stack (then one Philox per call), or one Philox(seed) per row.
+        keyings, builds = [], []
+        derive_keys, philox = seeding.philox_keys, np.random.Philox
 
-        def counting(seed):
-            calls.append(seed)
-            return original(seed)
+        def counting_keys(seeds):
+            keyings.append(len(seeds))
+            return derive_keys(seeds)
 
-        monkeypatch.setattr(signal_model, "generator", counting)
+        def counting_philox(*args, **kwargs):
+            builds.append(args or kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(seeding, "philox_keys", counting_keys)
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        drawn = draws > 0
+        make_sampling_plan(16, n_meas, list(range(20)))
+        assert keyings == [20] * drawn and len(builds) == drawn
         make_sampling_plan(16, n_meas, [4, 5, 6])
-        assert len(calls) == draws
+        assert len(keyings) == drawn and len(builds) == drawn + draws
         make_sampling_plan(16, n_meas, 4)
-        assert len(calls) == draws + (draws > 0)
+        assert len(keyings) == drawn and len(builds) == drawn + draws + drawn
 
 
 class TestOneBufferQuantizer:
@@ -174,11 +184,22 @@ class TestDefensiveCopies:
         assert plan.omega.tolist() == [[0, 3], [1, 1]]
         assert single.values.tolist() == stacked.values[0].tolist() == [0.1 + 0.2j, -0.3j]
 
-    def test_read_only_owned_arrays_are_kept(self):
-        values = np.zeros((2, 3), complex)
-        values.flags.writeable = False
-        assert Dither(values).values is values
-        assert Dither(values[1], seed=2).values.base is values
+    def test_read_only_caller_arrays_are_copied(self):
+        # The caller still owns the array and can make it writable again.
+        a = np.zeros(3, complex)
+        a.flags.writeable = False
+        d = Dither(a, seed=1)
+        a.flags.writeable = True
+        a[0] = 1
+        assert not d.values.any() and not d.values.flags.writeable
+
+    def test_draws_hand_over_their_arrays_uncopied(self):
+        # A single-seed draw keeps row 0 of its (1, M) buffer: a view, not a copy.
+        dither = draw_dither(QuantizerConfig(1, 1.0), 4, 3)
+        plan = make_sampling_plan(8, 4, 5)
+        profile = random_profile(8, 2, 6)
+        for arr in (dither.values, plan.omega, profile.amplitudes):
+            assert not arr.flags.writeable and arr.base is not None and arr.base.shape == (1,) + arr.shape
 
     def test_read_only_view_of_a_writable_array_is_copied(self):
         base = np.zeros(4, complex)
