@@ -19,7 +19,7 @@ from .evaluation import (
     AggregateResult,
     ExperimentConfig,
     GridPoint,
-    TrialRecord,
+    TrialOutcomes,
     run_grid,
     run_trial,
     tpr,

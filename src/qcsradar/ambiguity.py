@@ -146,7 +146,8 @@ def ambiguity_report(
     pair = build_pair(n_bins, bin_base, bin_extra, phase_base, phase_extra, gamma)
     plan = make_sampling_plan(n_bins, n_meas, derive_seed(seed, "ambiguity-plan", n_bins, n_meas))
     # The range must cover whichever of the two scenes is observed.
-    both = np.concatenate([forward(plan, pair.base), forward(plan, pair.alternate)])
+    r_base, r_alt = forward(plan, pair.base), forward(plan, pair.alternate)
+    both = np.concatenate([r_base, r_alt])
     undithered_cfg = adapted_quantizer(both, bit_depth, dithered=False)
     dithered_cfg = adapted_quantizer(both, bit_depth, dithered=True)
 
@@ -157,7 +158,6 @@ def ambiguity_report(
     # dither i), as sense computes it for that one dither.  The dither and
     # the two sensed stacks together hold at most CHUNK_ELEMENTS values.
     seeds = SeedStack(derive_seeds(seed, ("ambiguity-dither",), range(n_seeds)))
-    r_base, r_alt = forward(plan, pair.base), forward(plan, pair.alternate)
     rows = max(1, CHUNK_ELEMENTS // (3 * n_meas))
     hits = 0
     for lo in range(0, n_seeds, rows):

@@ -2,11 +2,11 @@
 
 A grid point fixes (sparsity, bit depth, total bit-rate, dithering,
 algorithm); each trial independently draws a profile, a sampling plan, and a
-dither from sub-seeds of the master seed.  Sub-seeds depend only on the
-quantities that should vary them — profiles on (K, trial), plans on
-(M, trial), dithers on (M, b, trial) — so curves that differ only in
-bit-rate or algorithm are compared on common random numbers, mirroring the
-exact saturation plateaus of undithered quantization.
+dither from sub-seeds of the master seed (:func:`trial_seeds`).  Sub-seeds
+depend only on the quantities that should vary them — profiles on
+(K, trial), plans on (M, trial), dithers on (M, b, trial) — so curves that
+differ only in bit-rate or algorithm are compared on common random numbers,
+mirroring the exact saturation plateaus of undithered quantization.
 
 Trials run in chunks (:func:`run_trials`): every trial draws from its own
 sub-seeds and gets its own range-adapted quantizer, but the chunk is drawn
@@ -16,9 +16,11 @@ batch within CHUNK_ELEMENTS.  The chunk's 3T seeds are one
 :class:`~qcsradar.seeding.SeedStack`, so their Philox keys are derived in one
 pass and each draw re-keys a single generator row by row; ``forward`` runs
 once per chunk, and its output takes the dither and the quantizer in place.
-:func:`run_grid` hands out (grid point, trial chunk) tasks, so a single
-point keeps every worker busy, and adds per-trial results up in trial order,
-so the aggregates do not depend on the worker count.
+A chunk's result is one :class:`TrialOutcomes` of (T,) arrays: hits,
+l2 error and iterations, in trial order.  :func:`run_grid` hands out
+(grid point, trial chunk) tasks, so a single point keeps every worker busy,
+and adds the outcomes up in trial order, so the aggregates do not depend on
+the worker count.
 
 Configs have one validation boundary: :class:`GridPoint` checks the rules
 of one point (algorithm, sparsity, bit depth, integer M),
@@ -30,11 +32,12 @@ and one RecoveryConfig per sparsity.  Nothing else restates these rules.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -48,9 +51,10 @@ __all__ = [
     "MEAS_RANGE",
     "GridPoint",
     "ExperimentConfig",
-    "TrialRecord",
+    "TrialOutcomes",
     "AggregateResult",
     "tpr",
+    "trial_seeds",
     "run_trial",
     "run_trials",
     "run_grid",
@@ -162,21 +166,12 @@ class ExperimentConfig:
         ]
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """Outcome of a single recovery trial."""
+class TrialOutcomes(NamedTuple):
+    """Outcomes of a chunk of trials, as (T,) arrays in trial order."""
 
-    trial_index: int
-    sparsity: int
-    bit_depth: Optional[int]
-    n_meas: int
-    dithered: bool
-    algorithm: str
-    true_positives: int
-    tpr: float
-    l2_error: float
-    iterations: int
-    seed_tuple: tuple
+    hits: np.ndarray  # true positives |supp est & supp true|; the TPR is hits / K
+    l2_error: np.ndarray  # ||truth - estimate||_2
+    iterations: np.ndarray  # QIHT iterations run; 0 for PBP
 
 
 @dataclass(frozen=True)
@@ -200,6 +195,20 @@ def tpr(true_support, estimated_support, sparsity: int) -> float:
     return len(true_support & frozenset(estimated_support)) / sparsity
 
 
+def trial_seeds(point: GridPoint, trial_indices, master_seed: int, n_bins: int = 256) -> tuple:
+    """(profile, plan, dither) sub-seed lists of the trials, one seed per trial each.
+
+    The common-random-numbers rule: profiles depend on (n_bins, K, trial),
+    plans on (n_bins, M, trial) and dithers on (n_bins, M, b, trial) only.
+    """
+    k, m, b = point.sparsity, point.n_meas, point.bit_depth
+    return (
+        derive_seeds(master_seed, ("profile", n_bins, k), trial_indices),
+        derive_seeds(master_seed, ("plan", n_bins, m), trial_indices),
+        derive_seeds(master_seed, ("dither", n_bins, m, b), trial_indices),
+    )
+
+
 def run_trials(
     point: GridPoint,
     trial_indices,
@@ -209,25 +218,21 @@ def run_trials(
     mu: float = 1.0,
     consistency_target: float = 0.95,
     max_iters: Optional[int] = None,
-) -> list:
-    """Execute seeded trials of the grid point as one batch; one TrialRecord each.
+) -> TrialOutcomes:
+    """Execute seeded trials of the grid point as one batch.
 
     Each trial draws its profile, plan, and dither from its own sub-seeds of
-    ``master_seed`` and gets its own range-adapted quantizer; the draws take
-    the chunk's T seeds at once, keyed together, and return (T, N) and
-    (T, M) stacks.  One ``forward`` pass sizes the ranges and is then
-    dithered and quantized in its own buffer.  The batch is recovered with
-    the point's algorithm and scored for support recovery and l2 error,
-    trial by trial.
+    ``master_seed`` (:func:`trial_seeds`) and gets its own range-adapted
+    quantizer; the draws take the chunk's T seeds at once, keyed together,
+    and return (T, N) and (T, M) stacks.  One ``forward`` pass sizes the
+    ranges and is then dithered and quantized in its own buffer.  The batch
+    is recovered with the point's algorithm and scored for support recovery
+    and l2 error, row by row.
     """
     k, m, b = point.sparsity, point.n_meas, point.bit_depth
     t = len(trial_indices)
     # All 3T seeds form one stack, so their Philox keys are derived in one pass.
-    stack = SeedStack(
-        derive_seeds(master_seed, ("profile", n_bins, k), trial_indices)
-        + derive_seeds(master_seed, ("plan", n_bins, m), trial_indices)
-        + derive_seeds(master_seed, ("dither", n_bins, m, b), trial_indices)
-    )
+    stack = SeedStack(itertools.chain(*trial_seeds(point, trial_indices, master_seed, n_bins)))
     truth = random_profile(n_bins, k, stack[:t])
     plan = make_sampling_plan(n_bins, m, stack[t : 2 * t])
     r = forward(plan, truth)
@@ -236,7 +241,7 @@ def run_trials(
     y = _acquire(quantizer, dither, r)
 
     if point.algorithm == "pbp":
-        estimates, iterations = pbp(plan, y, k), [0] * t
+        estimates, iterations = pbp(plan, y, k), np.zeros(t, dtype=int)
     else:
         recovery = RecoveryConfig(
             sparsity=k,
@@ -246,39 +251,18 @@ def run_trials(
         )
         estimates, iterations, _, _ = qiht_batch(plan, quantizer, dither, y, recovery)
 
-    hits = np.count_nonzero((truth != 0) & (estimates != 0), axis=1)
-    return [
-        TrialRecord(
-            trial_index=trial_index,
-            sparsity=k,
-            bit_depth=b,
-            n_meas=m,
-            dithered=point.effective_dithered,
-            algorithm=point.algorithm,
-            true_positives=int(hits[i]),
-            tpr=int(hits[i]) / k,
-            # The 1-D norm of the row, as a single trial computes it.
-            l2_error=float(np.linalg.norm(truth[i] - estimates[i])),
-            iterations=int(iterations[i]),
-            seed_tuple=tuple(stack.seeds[i :: t]),
-        )
-        for i, trial_index in enumerate(trial_indices)
-    ]
+    return TrialOutcomes(
+        hits=np.count_nonzero((truth != 0) & (estimates != 0), axis=1),
+        # The 1-D norm of each row, as a single trial computes it, without a
+        # (T, N) difference array.
+        l2_error=np.array([np.linalg.norm(a - e) for a, e in zip(truth, estimates)]),
+        iterations=iterations,
+    )
 
 
-def run_trial(
-    point: GridPoint,
-    trial_index: int,
-    master_seed: int,
-    *,
-    n_bins: int = 256,
-    mu: float = 1.0,
-    consistency_target: float = 0.95,
-    max_iters: Optional[int] = None,
-) -> TrialRecord:
-    """Execute one seeded trial of the grid point: a batch of one."""
-    options = dict(n_bins=n_bins, mu=mu, consistency_target=consistency_target, max_iters=max_iters)
-    return run_trials(point, [trial_index], master_seed, **options)[0]
+def run_trial(point: GridPoint, trial_index: int, master_seed: int, **options) -> TrialOutcomes:
+    """Execute one seeded trial of the grid point: a batch of one, as (1,) arrays."""
+    return run_trials(point, [trial_index], master_seed, **options)
 
 
 def point_is_runnable(point: GridPoint) -> tuple:
@@ -296,9 +280,9 @@ def trial_chunks(config: ExperimentConfig, point: GridPoint) -> list:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _run_chunk(config: ExperimentConfig, point: GridPoint, trials: range) -> list:
-    """(tpr, l2_error) of each trial of the chunk, in trial order."""
-    records = run_trials(
+def _run_chunk(config: ExperimentConfig, point: GridPoint, trials: range) -> TrialOutcomes:
+    """Outcomes of the chunk's trials, in trial order."""
+    return run_trials(
         point,
         trials,
         config.master_seed,
@@ -307,20 +291,23 @@ def _run_chunk(config: ExperimentConfig, point: GridPoint, trials: range) -> lis
         consistency_target=config.consistency_target,
         max_iters=config.max_iters,
     )
-    return [(record.tpr, record.l2_error) for record in records]
 
 
-def _aggregate(point: GridPoint, outcomes) -> AggregateResult:
-    """Streaming aggregation of (tpr, l2_error) pairs, summed in trial order."""
+def _aggregate(point: GridPoint, chunks) -> AggregateResult:
+    """Aggregate the point's chunk outcomes, given in trial order.
+
+    The sums add one Python float at a time in trial order: ``np.sum`` adds
+    pairwise and the builtin ``sum`` compensates (from Python 3.12), and
+    either would change the last bits of the results.
+    """
     n = 0
-    tpr_sum = 0.0
-    tpr_sq_sum = 0.0
-    l2_sum = 0.0
-    for trial_tpr, l2_error in outcomes:
-        n += 1
-        tpr_sum += trial_tpr
-        tpr_sq_sum += trial_tpr * trial_tpr
-        l2_sum += l2_error
+    tpr_sum = tpr_sq_sum = l2_sum = 0.0
+    for outcomes in chunks:
+        n += len(outcomes.hits)
+        for trial_tpr, l2_error in zip((outcomes.hits / point.sparsity).tolist(), outcomes.l2_error.tolist()):
+            tpr_sum += trial_tpr
+            tpr_sq_sum += trial_tpr * trial_tpr
+            l2_sum += l2_error
     mean = tpr_sum / n
     if n > 1:
         var = max(0.0, (tpr_sq_sum - n * mean * mean) / (n - 1))
@@ -338,8 +325,7 @@ def _aggregate(point: GridPoint, outcomes) -> AggregateResult:
 
 def _aggregate_point(config: ExperimentConfig, point: GridPoint) -> AggregateResult:
     """Run all trials of one point in this process, chunk by chunk."""
-    chunks = trial_chunks(config, point)
-    return _aggregate(point, (outcome for c in chunks for outcome in _run_chunk(config, point, c)))
+    return _aggregate(point, (_run_chunk(config, point, c) for c in trial_chunks(config, point)))
 
 
 def sort_key(point: GridPoint) -> tuple:
@@ -394,15 +380,15 @@ def run_grid(
             logger.warning("skipping grid point (%s): %s", point.describe(), reason)
     runnable.sort(key=sort_key)
 
-    tasks = [(point, chunk) for point in runnable for chunk in trial_chunks(config, point)]
+    chunked = [(point, trial_chunks(config, point)) for point in runnable]
+    tasks = [(point, chunk) for point, chunks in chunked for chunk in chunks]
     workers = _resolve_workers(max_workers, len(tasks))
     results = []
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         run = map if pool is None else pool.map
         outcomes = run(_run_chunk, [config] * len(tasks), *zip(*tasks))
-        for point in runnable:
-            chunks = trial_chunks(config, point)
-            result = _aggregate(point, (outcome for _ in chunks for outcome in next(outcomes)))
+        for point, chunks in chunked:
+            result = _aggregate(point, itertools.islice(outcomes, len(chunks)))
             logger.info("%s: mean TPR %.2f%%", point.describe(), result.mean_tpr_pct)
             results.append(result)
     return results

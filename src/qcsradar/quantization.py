@@ -77,10 +77,6 @@ class QuantizerConfig:
             raise ValueError("unquantized configuration has no step size")
         return 2.0 ** (1 - self.bit_depth) * self.dynamic_range
 
-    @property
-    def bits_per_component(self) -> int:
-        return UNQUANTIZED_BITS if self.bit_depth is None else self.bit_depth
-
 
 @dataclass(frozen=True, eq=False)
 class Dither:

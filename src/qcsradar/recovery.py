@@ -267,11 +267,8 @@ def qiht(
     iterative hard thresholding.
     """
     y = np.asarray(measurements, dtype=np.complex128)
-    if y.shape != (plan.n_meas,):
-        raise ValueError(f"measurement length {y.shape} does not match n_meas={plan.n_meas}")
-    if dither is not None and config.quantized and dither.n_meas != plan.n_meas:
-        raise ValueError(f"dither length {dither.n_meas} does not match n_meas={plan.n_meas}")
-    # One-row views of the plan's and dither's own read-only arrays, uncopied.
+    # One-row views of the plan's and dither's own read-only arrays, uncopied;
+    # qiht_batch checks their lengths.
     stacked_dither = None if dither is None else Dither(_Owned(dither.values[None]))
     (estimate,), (iterations,), (final,), (reason,) = qiht_batch(
         replace(plan, omega=_Owned(plan.omega[None])), config, stacked_dither, y[None], recovery

@@ -9,7 +9,17 @@ import numpy as np
 import pytest
 
 import brute
-from qcsradar.evaluation import ExperimentConfig, GridPoint, run_grid, run_trials, trial_chunks
+from qcsradar.evaluation import (
+    ExperimentConfig,
+    GridPoint,
+    TrialOutcomes,
+    _aggregate,
+    run_grid,
+    run_trial,
+    run_trials,
+    trial_chunks,
+    trial_seeds,
+)
 from qcsradar.quantization import Dither, QuantizerConfig, adapted_quantizer, draw_dither, quantize_complex, sense
 from qcsradar.recovery import RecoveryConfig, StopReason, _scores, hard_threshold, qiht, qiht_batch
 from qcsradar.signal_model import SamplingPlan, adjoint, forward, make_sampling_plan, random_profile
@@ -97,19 +107,25 @@ class TestBatchedQiht:
     @pytest.mark.parametrize("point", [GridPoint(4, None, 32 * 24, False, "qiht"), GridPoint(3, 1, 40, True, "pbp")])
     def test_trial_records_match_one_trial_at_a_time(self, point):
         # Includes l2_error, which must be the 1-D norm of each row.
-        for record in run_trials(point, range(20), master_seed=3, n_bins=32):
-            profile_seed, plan_seed, dither_seed = record.seed_tuple
+        outcomes = run_trials(point, range(20), master_seed=3, n_bins=32)
+        seeds = trial_seeds(point, range(20), master_seed=3, n_bins=32)
+        for i, (profile_seed, plan_seed, dither_seed) in enumerate(zip(*seeds)):
             profile = random_profile(32, point.sparsity, profile_seed)
             plan = make_sampling_plan(32, point.n_meas, plan_seed)
             quantizer = adapted_quantizer(forward(plan, profile), point.bit_depth, point.effective_dithered)
             dither = draw_dither(quantizer, point.n_meas, dither_seed) if point.effective_dithered else None
             y = sense(plan, quantizer, dither, profile)
             if point.algorithm == "pbp":
-                estimate = hard_threshold(adjoint(plan, y) / point.n_meas, point.sparsity)
+                estimate, iterations = hard_threshold(adjoint(plan, y) / point.n_meas, point.sparsity), 0
             else:
-                estimate = qiht(plan, quantizer, dither, y, RecoveryConfig(point.sparsity)).estimate.amplitudes
-            assert record.l2_error == float(np.linalg.norm(profile.amplitudes - estimate))
-            assert record.true_positives == np.count_nonzero(profile.amplitudes * estimate)
+                result = qiht(plan, quantizer, dither, y, RecoveryConfig(point.sparsity))
+                estimate, iterations = result.estimate.amplitudes, result.iterations_run
+            assert outcomes.l2_error[i] == float(np.linalg.norm(profile.amplitudes - estimate))
+            assert outcomes.hits[i] == np.count_nonzero(profile.amplitudes * estimate)
+            assert outcomes.iterations[i] == iterations
+            single = run_trial(point, i, master_seed=3, n_bins=32)
+            for field in ("hits", "l2_error", "iterations"):
+                assert getattr(single, field).tobytes() == getattr(outcomes, field)[i : i + 1].tobytes()
 
 
 class TestChunkedGrid:
@@ -126,3 +142,24 @@ class TestChunkedGrid:
         assert len(trial_chunks(config, config.grid_points()[0])) > 1
         serial, parallel = run_grid(config, max_workers=1), run_grid(config, max_workers=2)
         assert [vars(r) for r in serial] == [vars(r) for r in parallel]
+
+    def test_aggregate_adds_one_trial_at_a_time(self):
+        # np.sum adds pairwise and the builtin sum compensates (Python 3.12+);
+        # either changes the last bits of the CSV, so compare with a plain loop.
+        rng = np.random.default_rng(9)
+        point = GridPoint(3, 1, 64, True, "pbp")
+        hits = rng.integers(0, 4, size=300)
+        l2 = rng.lognormal(sigma=3.0, size=300)
+        chunks = [
+            TrialOutcomes(hits[lo:hi], l2[lo:hi], np.zeros(hi - lo, dtype=int))
+            for lo, hi in [(0, 7), (7, 160), (160, 161), (161, 300)]
+        ]
+        tpr_sum = tpr_sq_sum = l2_sum = 0.0
+        for h, e in zip(hits.tolist(), l2.tolist()):
+            tpr_sum, tpr_sq_sum, l2_sum = tpr_sum + h / 3, tpr_sq_sum + (h / 3) * (h / 3), l2_sum + e
+        mean = tpr_sum / 300
+        result = _aggregate(point, iter(chunks))
+        assert result.trials == 300
+        assert result.mean_tpr_pct == 100.0 * mean
+        assert result.stderr_pct == 100.0 * ((tpr_sq_sum - 300 * mean * mean) / 299 / 300) ** 0.5
+        assert result.mean_l2_error == l2_sum / 300

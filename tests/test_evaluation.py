@@ -2,6 +2,7 @@
 
 import logging
 
+import numpy as np
 import pytest
 
 from qcsradar.evaluation import (
@@ -12,6 +13,7 @@ from qcsradar.evaluation import (
     run_trial,
     run_trials,
     tpr,
+    trial_seeds,
     _resolve_workers,
 )
 
@@ -66,35 +68,31 @@ class TestRunTrial:
         point = GridPoint(2, 1, 256, True, "pbp")
         a = run_trial(point, 3, master_seed=42)
         b = run_trial(point, 3, master_seed=42)
-        assert a == b
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
         c = run_trial(point, 4, master_seed=42)
-        assert a != c
+        assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
     def test_unquantized_full_sampling_is_exact(self):
         # bitrate 32*256 = 8192 puts M = N = 256: exact inversion
         point = GridPoint(2, None, 8192, False, "pbp")
         for trial in range(5):
-            record = run_trial(point, trial, master_seed=0)
-            assert record.tpr == 1.0
-            assert record.l2_error < 1e-10
+            outcome = run_trial(point, trial, master_seed=0)
+            assert outcome.hits.tolist() == [2]
+            assert outcome.l2_error[0] < 1e-10
 
     def test_profiles_shared_across_depths_and_algorithms(self):
         # common random numbers: the profile sub-seed depends only on
         # (n_bins, K, trial); the plan sub-seed only on (n_bins, M, trial)
-        a = run_trial(GridPoint(2, 1, 256, True, "pbp"), 0, master_seed=1)
-        b = run_trial(GridPoint(2, 2, 512, False, "qiht"), 0, master_seed=1)
-        assert a.seed_tuple[0] == b.seed_tuple[0]  # same profile
-        assert a.seed_tuple[1] == b.seed_tuple[1]  # same plan (same M)
-        c = run_trial(GridPoint(2, 1, 512, True, "pbp"), 0, master_seed=1)
-        assert a.seed_tuple[1] != c.seed_tuple[1]  # different M, different plan
+        a = trial_seeds(GridPoint(2, 1, 256, True, "pbp"), [0], master_seed=1)
+        b = trial_seeds(GridPoint(2, 2, 512, False, "qiht"), [0], master_seed=1)
+        assert a[0] == b[0]  # same profile
+        assert a[1] == b[1]  # same plan (same M)
+        c = trial_seeds(GridPoint(2, 1, 512, True, "pbp"), [0], master_seed=1)
+        assert a[1] != c[1]  # different M, different plan
 
     def test_record_fields(self):
-        record = run_trial(GridPoint(3, 1, 64, True, "qiht"), 7, master_seed=9)
-        assert record.sparsity == 3
-        assert 0 <= record.true_positives <= 3
-        assert record.tpr == record.true_positives / 3
-        assert record.n_meas == 64
-        assert record.algorithm == "qiht"
+        outcome = run_trial(GridPoint(3, 1, 64, True, "qiht"), 7, master_seed=9)
+        assert 0 <= outcome.hits[0] <= 3
 
 
 class TestExperimentConfig:
@@ -138,8 +136,8 @@ class TestRunGrid:
         )
         results = run_grid(config, max_workers=1)
         assert len(results) == 1
-        record = run_trial(GridPoint(2, 1, 64, True, "pbp"), 0, master_seed=5)
-        assert results[0].mean_tpr_pct == pytest.approx(100 * record.tpr)
+        outcome = run_trial(GridPoint(2, 1, 64, True, "pbp"), 0, master_seed=5)
+        assert results[0].mean_tpr_pct == pytest.approx(100 * outcome.hits[0] / 2)
         assert results[0].trials == 1
         assert results[0].stderr_pct == 0.0
 

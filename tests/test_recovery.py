@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import brute
-from qcsradar.quantization import adapted_quantizer, draw_dither, sense, QuantizerConfig
+from qcsradar.quantization import Dither, adapted_quantizer, draw_dither, sense, QuantizerConfig
 from qcsradar.recovery import (
     MIN_STOP_ITERS,
     RecoveryConfig,
@@ -240,8 +240,14 @@ class TestQIHT:
 
     def test_measurement_length_checked(self):
         plan, profile, quantizer, dither, y = _quantized_instance(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"measurement length .*{plan.n_meas - 1}.*n_meas={plan.n_meas}"):
             qiht(plan, quantizer, dither, y[:-1], RecoveryConfig(sparsity=1))
+
+    def test_dither_length_checked(self):
+        plan, profile, quantizer, dither, y = _quantized_instance(0)
+        short = Dither(dither.values[:-1])
+        with pytest.raises(ValueError, match=f"dither length {plan.n_meas - 1} does not match n_meas={plan.n_meas}"):
+            qiht(plan, quantizer, short, y, RecoveryConfig(sparsity=1))
 
 
 class TestSupportRecoveryScaling:
