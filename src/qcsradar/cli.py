@@ -19,7 +19,7 @@ import numpy as np
 
 from .ambiguity import ambiguity_report
 from .evaluation import run_grid
-from .io import Capture, parse_config, read_capture, write_capture, write_results
+from .io import Capture, check_capture_bit_depth, parse_config, read_capture, write_capture, write_results
 from .quantization import adapted_quantizer, check_bit_depth, draw_dither, sense
 from .recovery import RecoveryConfig, consistency, pbp, qiht
 from .seeding import derive_seed
@@ -227,6 +227,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_gen_capture(args) -> int:
     with _argument_errors():
+        check_capture_bit_depth(args.bits)
         radar = RadarParams(
             f0=args.f0, bandwidth=args.bandwidth, ramp_duration=args.ramp_duration, n_bins=args.n
         )

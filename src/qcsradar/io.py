@@ -38,7 +38,9 @@ from .signal_model import RadarParams, SamplingPlan, make_sampling_plan
 
 __all__ = [
     "CAPTURE_SCHEMA_VERSION",
+    "CAPTURE_MAX_BITS",
     "Capture",
+    "check_capture_bit_depth",
     "parse_config",
     "config_to_json",
     "write_results",
@@ -50,9 +52,15 @@ logger = logging.getLogger(__name__)
 
 CAPTURE_SCHEMA_VERSION = 1
 
-# Max deviation (in steps) treated as float32 storage rounding; anything
-# larger is genuinely off-grid data from a foreign/scaled ADC.
+# Max deviation (in steps) from the grid, beyond a part's float32 rounding
+# (up to 2**-24 of its magnitude), that reading still snaps; anything larger
+# is genuinely off-grid data from a foreign/scaled ADC.
 _GRID_SNAP_TOL = 1e-3
+
+# A float32 part keeps 24 significant bits: b for the cell of a b-bit value,
+# one for its half step and one to keep the rounding (at most 2**(b-25)
+# steps) within a quarter step, so every part snaps back to its own cell.
+CAPTURE_MAX_BITS = 22
 
 # The JSON spellings of an unquantized bit depth.
 _UNQUANTIZED = (None, "unquantized")
@@ -162,6 +170,12 @@ class Capture:
     radar: RadarParams
 
 
+def check_capture_bit_depth(bit_depth: Optional[int]) -> None:
+    """Reject a bit depth whose grid a float32 payload cannot hold; None passes."""
+    if bit_depth is not None and bit_depth > CAPTURE_MAX_BITS:
+        raise ValueError(f"bit depth {bit_depth} is finer than a float32 capture holds (at most {CAPTURE_MAX_BITS})")
+
+
 def _sidecar_path(path) -> str:
     return f"{path}.json"
 
@@ -177,6 +191,10 @@ def write_capture(path, capture: Capture, *, store_dither_values: bool = False) 
     samples = np.asarray(capture.samples, dtype=np.complex128)
     if samples.shape != (plan.n_meas,):
         raise ValueError(f"capture: sample count {samples.shape} does not match n_meas={plan.n_meas}")
+    try:
+        check_capture_bit_depth(capture.quantizer.bit_depth)
+    except ValueError as exc:
+        raise _capture_error(str(exc)) from None
 
     dither_field = None
     if capture.dither is not None:
@@ -225,13 +243,13 @@ def _snap_to_grid(samples: np.ndarray, step: float, path) -> np.ndarray:
     re_cells = (samples.real - half) / step
     im_cells = (samples.imag - half) / step
     deviation = max(
-        float(np.max(np.abs(re_cells - np.round(re_cells)))),
-        float(np.max(np.abs(im_cells - np.round(im_cells)))),
+        float(np.max(np.abs(cells - np.round(cells)) - np.abs(part) * 2.0**-24 / step))
+        for part, cells in ((samples.real, re_cells), (samples.imag, im_cells))
     )
     if deviation > _GRID_SNAP_TOL:
         logger.warning(
             "capture %s: samples are off the quantization grid "
-            "(max deviation %.3g steps); leaving them as stored",
+            "(max deviation %.3g steps beyond float32 rounding); leaving them as stored",
             path,
             deviation,
         )

@@ -189,14 +189,17 @@ def sense(
     config: QuantizerConfig,
     dither: Optional[Dither],
     profile: ProfileLike,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Acquire a profile: partial-Fourier measurements, dither, quantization.
 
     Quantized mode returns Q(forward(profile) + xi) with xi = 0 when no
     dither is given; unquantized mode returns the raw measurements (a dither
-    is rejected there, since it would only add noise).
+    is rejected there, since it would only add noise).  The measurements are
+    dithered and quantized where :func:`forward` wrote them, in ``out`` when
+    given.
     """
-    return _acquire(config, dither, forward(plan, profile))
+    return _acquire(config, dither, forward(plan, profile, out=out))
 
 
 def _acquire(config: QuantizerConfig, dither: Optional[Dither], measurements: np.ndarray) -> np.ndarray:

@@ -15,11 +15,14 @@ observed bits reaches the target or strictly decreases.
 Both estimators take a leading trial axis: (T, M) measurements through a
 stacked plan, quantizer and dither are T independent trials, and each row
 follows exactly the iteration and stop rule of a single trial
-(:func:`qiht_batch`).  A row that stops leaves the batch, so later
-iterations only pay for the rows still running.  :func:`pbp` and
-:func:`qiht` are the single-trial case.  :func:`hard_threshold` finds each
-row's K-th largest modulus by partition rather than sorting all N bins,
-and keeps exactly the bins a stable sort would.
+(:func:`qiht_batch`).  The batch runs in working arrays allocated once per
+call: every iteration writes into them through the ``out=`` arguments of
+the operators, and a row that stops gives its place to a running row from
+the end, so later iterations only pay for the rows still running.
+:func:`pbp` and :func:`qiht` are the single-trial case.
+:func:`hard_threshold` finds each row's K-th largest modulus by partition
+rather than sorting all N bins, and keeps exactly the bins a stable sort
+would.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .quantization import Dither, QuantizerConfig, sense
-from .signal_model import RangeProfile, SamplingPlan, _Owned, adjoint
+from .signal_model import RangeProfile, SamplingPlan, _Owned, _output, adjoint
 
 __all__ = [
     "MIN_STOP_ITERS",
@@ -97,32 +100,47 @@ class RecoveryResult:
     stop_reason: StopReason
 
 
-def hard_threshold(values: np.ndarray, sparsity: int) -> np.ndarray:
+def hard_threshold(values: np.ndarray, sparsity: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Keep the K largest-modulus components (of each row), zero the rest.
 
     Ties at the K-th modulus are broken toward the lowest index, so the
     result is deterministic.  Each row's K-th largest modulus is found by
-    partition, not by sorting all N bins: the bins strictly above it are
-    kept, then the ties fill the remaining places, lowest index first.  A
+    partition, not by sorting all N bins.  A row with exactly K bins at or
+    above it keeps those; any other row keeps the bins strictly above it,
+    then fills the remaining places from the ties, lowest index first.  A
     NaN modulus (from a diverged iterate) ranks below every number, so a row
     with fewer than K non-NaN bins keeps them all and fills up from its NaN
-    bins, lowest index first, exactly as a stable sort would.
+    bins, lowest index first, exactly as a stable sort would.  The result
+    is written to ``out`` when given (which may be ``values`` itself).
     """
     v = np.asarray(values, dtype=np.complex128)
     n = v.shape[-1]
     if not 1 <= sparsity <= n:
         raise ValueError(f"sparsity must be in [1, {n}], got {sparsity}")
     rows = v.reshape(-1, n)
-    # Rank on -|v|, ascending, with NaN as +inf (last, as sorts place NaN).
+    # Rank on -|v|, ascending; partition places NaN last, as sorts do.
     rank = np.abs(rows)
     np.negative(rank, out=rank)
-    rank[np.isnan(rank)] = np.inf
     kth = np.partition(rank, sparsity - 1, axis=1)[:, sparsity - 1 : sparsity]
-    keep = rank < kth
-    ties = rank == kth
-    places = sparsity - np.count_nonzero(keep, axis=1, keepdims=True)
-    keep |= ties & (np.cumsum(ties, axis=1) <= places)
-    return np.where(keep, rows, 0).reshape(v.shape)
+    keep = rank <= kth  # all False where the K-th rank is NaN
+    slow = np.count_nonzero(keep, axis=1) != sparsity
+    if slow.any():
+        # Ties at the K-th rank, or fewer than K numbers: rank NaN as +inf,
+        # keep the bins strictly above the K-th, then the lowest-index ties.
+        rank = rank[slow]
+        rank[np.isnan(rank)] = np.inf
+        kth = np.partition(rank, sparsity - 1, axis=1)[:, sparsity - 1 : sparsity]
+        kept = rank < kth
+        ties = rank == kth
+        places = sparsity - np.count_nonzero(kept, axis=1, keepdims=True)
+        kept |= ties & (np.cumsum(ties, axis=1) <= places)
+        keep[slow] = kept
+    if out is None:
+        return np.where(keep, rows, 0).reshape(v.shape)
+    kept_out = _output(out, v.shape).reshape(-1, n)
+    np.copyto(kept_out, rows, where=keep)
+    np.copyto(kept_out, 0, where=np.logical_not(keep, out=keep))
+    return out
 
 
 def pbp(plan: SamplingPlan, measurements: np.ndarray, sparsity: int):
@@ -176,46 +194,62 @@ def qiht_batch(
     Each row runs the iteration and stop rule documented in :func:`qiht`.
     Returns (estimates (T, N), iterations run (T,), final consistency (T,),
     stop reasons (list of T)), in row order.
+
+    The working arrays are allocated once per call and every iteration runs
+    inside them.  When rows stop, running rows from the end move into their
+    places and each array is cut to the running rows; the plan is not
+    re-checked and the dither is a view, not a copy.
     """
-    y = np.asarray(measurements, dtype=np.complex128)
-    if y.ndim != 2 or y.shape != plan.omega.shape:
-        raise ValueError(f"measurement length {y.shape} does not match n_meas={plan.n_meas}")
+    y_in = np.asarray(measurements, dtype=np.complex128)
+    if y_in.ndim != 2 or y_in.shape != plan.omega.shape:
+        raise ValueError(f"measurement length {y_in.shape} does not match n_meas={plan.n_meas}")
     if not config.quantized and dither is not None:
         raise ValueError("unquantized recovery does not accept a dither")
-    if dither is not None and dither.values.shape != y.shape:
+    if dither is not None and dither.values.shape != y_in.shape:
         raise ValueError(f"dither length {dither.n_meas} does not match n_meas={plan.n_meas}")
 
     quantized = config.quantized
     k = recovery.sparsity
     mu = recovery.step_size
     budget = recovery.resolved_max_iters()
-    m = plan.n_meas
-    t = len(y)
+    t, m = y_in.shape
     estimates = np.zeros((t, plan.n_bins), dtype=np.complex128)
     iterations = np.full(t, budget)
     final = np.zeros(t)
     reasons = [StopReason.BUDGET] * t
-    rows = np.arange(t)  # batch row of each running row
+
+    # Place i of each working array holds running row rows[i].  The caller's
+    # measurements and dither serve until the first row stops; then the
+    # running rows are copied out once, and later stops move rows in place.
+    rows = np.arange(t)
+    y, xi = y_in, None if dither is None else dither.values
+    ranges = np.array(config.dynamic_range) if np.ndim(config.dynamic_range) else None
+    y_hat = np.empty_like(y_in)
+    current, step, best = (np.empty_like(estimates) for _ in range(3))
+    batch_plan = plan
 
     def stop(mask, chosen, consistency_of, reason, j):
-        for i in np.flatnonzero(mask):
-            estimates[rows[i]], iterations[rows[i]] = chosen[i], j
-            final[rows[i]], reasons[rows[i]] = consistency_of[i], reason
+        at = np.flatnonzero(mask)
+        estimates[rows[at]], iterations[rows[at]], final[rows[at]] = chosen[at], j, consistency_of[at]
+        for i in rows[at]:
+            reasons[i] = reason
 
-    current = pbp(plan, y, k)  # start from the back projection
-    y_hat = sense(plan, config, dither, current)
+    current[:] = pbp(plan, y, k)  # start from the back projection
+    sense(plan, config, dither, current, out=y_hat)
     score = prev_score = _scores(y, y_hat, quantized)
     match = score if quantized else _scores(y, y_hat, True)
-    best, best_score, best_match = current, score, match
+    best[:], best_score, best_match = current, score, match
     for j in range(budget + 1):
         if j:
-            current = hard_threshold(current + (mu / m) * adjoint(plan, y - y_hat), k)
-            y_hat = sense(plan, config, dither, current)
+            np.subtract(y, y_hat, out=y_hat)
+            np.multiply(mu / m, adjoint(plan, y_hat, out=step), out=step)
+            hard_threshold(np.add(current, step, out=step), k, out=current)
+            sense(plan, config, dither, current, out=y_hat)
             score = _scores(y, y_hat, quantized)
             match = score if quantized else _scores(y, y_hat, True)
             better = score > best_score
             if better.any():
-                best = np.where(better[:, None], current, best)
+                np.copyto(best, current, where=better[:, None])
                 best_score = np.where(better, score, best_score)
                 best_match = np.where(better, match, best_match)
         late = j >= MIN_STOP_ITERS
@@ -224,26 +258,44 @@ def qiht_batch(
         if quantized:
             done = (score == 1.0) | (score >= recovery.consistency_target) if late else score == 1.0
         else:
-            done = score == 0.0 if late or j == 0 else np.zeros(len(y), dtype=bool)
+            done = score == 0.0 if late or j == 0 else np.zeros(len(rows), dtype=bool)
         stopped = done | (score < prev_score) if late else done
         if stopped.any():
             stop(done, current, match, StopReason.CONSISTENCY_TARGET, j)
             stop(stopped & ~done, best, best_match, StopReason.CONSISTENCY_DROP, j)
-            running = ~stopped
-            if not running.any():
+            live = len(rows) - int(np.count_nonzero(stopped))
+            if not live:
                 break
-            rows, y, y_hat, current = rows[running], y[running], y_hat[running], current[running]
-            best, best_score, best_match = best[running], best_score[running], best_match[running]
-            score = score[running]
-            plan = replace(plan, omega=plan.omega[running])
-            if np.ndim(config.dynamic_range):
-                config = replace(config, dynamic_range=config.dynamic_range[running])
-            if dither is not None:
-                dither = Dither(dither.values[running])
+            # Running rows from past the new end take the places of stopped rows before it.
+            holes = np.flatnonzero(stopped[:live])
+            movers = live + np.flatnonzero(~stopped[live:])
+            _fill(holes, movers, rows, y_hat, current, best, score, best_score, best_match, ranges)
+            if y is y_in:  # the first stop: copy the running rows out of the caller's arrays
+                y, xi = y_in[rows[:live]], None if xi is None else xi[rows[:live]]
+            else:
+                _fill(holes, movers, y, xi)
+            rows, y, y_hat, current, step, best = (a[:live] for a in (rows, y, y_hat, current, step, best))
+            score, best_score, best_match = score[:live], best_score[:live], best_match[:live]
+            plan = batch_plan._rows(rows)
+            if ranges is not None:
+                ranges = ranges[:live]
+                config = replace(config, dynamic_range=ranges)
+            if xi is not None:
+                xi = xi[:live]
+                frozen = xi.view()  # the Dither's view is read-only, as its values always are
+                frozen.flags.writeable = False
+                dither = Dither(_Owned(frozen))
         prev_score = score
     else:
-        stop(np.ones(len(y), dtype=bool), best, best_match, StopReason.BUDGET, budget)
+        stop(np.ones(len(rows), dtype=bool), best, best_match, StopReason.BUDGET, budget)
     return estimates, iterations, final, reasons
+
+
+def _fill(holes: np.ndarray, movers: np.ndarray, *arrays) -> None:
+    """Copy the rows ``movers`` of each array (None skipped) onto its rows ``holes``."""
+    for array in arrays:
+        if array is not None:
+            array[holes] = array[movers]
 
 
 def qiht(

@@ -12,6 +12,14 @@ plan row i, with the arithmetic a single-trial call does on that row.  The
 draws stack the same way: :func:`random_profile` and
 :func:`make_sampling_plan` given a sequence of T seeds return (T, N)
 amplitudes and a (T, M) plan whose row i is the single-seed draw of seed i.
+
+A plan works out once how many leading whole ramps it holds: column blocks
+equal to 0..N-1 in every row.  On those columns :func:`forward` broadcasts
+each row's spectrum and :func:`adjoint` adds the ramps one at a time; only
+the remaining columns (all of them below one ramp, or for a plan a capture
+supplied) go through an index gather and an in-order scatter-add.  Both
+operators and :func:`~qcsradar.quantization.sense` take ``out=`` arrays,
+so an iterative caller can run in buffers it allocated once.
 """
 
 from __future__ import annotations
@@ -141,15 +149,42 @@ class SamplingPlan:
 
     def __post_init__(self):
         omega = _readonly(self.omega, np.int64)
+        if self.n_bins < 1:
+            raise ValueError("n_bins must be >= 1")
         if omega.ndim not in (1, 2) or omega.shape[-1] != self.n_meas:
             raise ValueError("omega must hold exactly n_meas indices")
         if omega.size and (omega.min() < 0 or omega.max() >= self.n_bins):
             raise ValueError("omega indices must lie in [0, n_bins)")
         object.__setattr__(self, "omega", omega)
-        # Row i's indices offset by i*N into the flattened (T, N) spectrum,
-        # so one gather or one bincount serves every row of a stack.
-        flat = omega if omega.ndim == 1 else omega + self.n_bins * np.arange(len(omega))[:, None]
+        n = self.n_bins
+        blocks = omega[..., : omega.shape[-1] // n * n].reshape(omega.shape[:-1] + (-1, n))
+        whole = (blocks == np.arange(n)).all(axis=-1)
+        if whole.ndim == 2:
+            whole = whole.all(axis=0)
+        self._set_ramps(int(whole.size if whole.all() else np.argmin(whole)))
+
+    def _set_ramps(self, ramps: int) -> None:
+        # The leading whole ramps, then the remaining columns: row i's indices
+        # offset by i*N into the flattened (T, N) spectrum, so one gather or
+        # one scatter-add serves every row of a stack.
+        rest = self.omega[..., ramps * self.n_bins :]
+        flat = rest if rest.ndim == 1 else rest + self.n_bins * np.arange(len(rest))[:, None]
+        object.__setattr__(self, "_ramps", ramps)
         object.__setattr__(self, "_flat", flat)
+
+    def _rows(self, rows: np.ndarray) -> "SamplingPlan":
+        """The plan of the given rows of this stack, without re-checking them.
+
+        Whole ramps are alike in every row, so a plan without a remainder
+        serves its first ``len(rows)`` rows and copies nothing.
+        """
+        omega = self.omega[rows] if self._flat.shape[-1] else self.omega[: len(rows)]
+        omega.flags.writeable = False
+        plan = object.__new__(SamplingPlan)
+        for name, value in (("n_bins", self.n_bins), ("n_meas", self.n_meas), ("omega", omega), ("seed", None)):
+            object.__setattr__(plan, name, value)
+        plan._set_ramps(self._ramps)
+        return plan
 
 
 def make_sampling_plan(n_bins: int, n_meas: int, seed) -> SamplingPlan:
@@ -187,32 +222,61 @@ def _as_amplitudes(profile: ProfileLike, plan: SamplingPlan) -> np.ndarray:
     return amps
 
 
-def forward(plan: SamplingPlan, profile: ProfileLike) -> np.ndarray:
+def _output(out: Optional[np.ndarray], shape: tuple) -> np.ndarray:
+    """``out``, checked to be a C-contiguous complex128 array of ``shape``, or a new one."""
+    if out is None:
+        return np.empty(shape, dtype=np.complex128)
+    if out.shape != shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous complex128 array of shape {shape}")
+    return out
+
+
+def _ramp_view(plan: SamplingPlan, values: np.ndarray) -> np.ndarray:
+    """The leading whole-ramp columns of ``values`` as a (..., ramps, N) view."""
+    n, ramps = plan.n_bins, plan._ramps
+    return values[..., : ramps * n].reshape(values.shape[:-1] + (ramps, n))
+
+
+def forward(plan: SamplingPlan, profile: ProfileLike, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Apply the partial-Fourier sensing operator.
 
     Returns the M-vector r with r[j] = sum_n a[n] exp(-i 2 pi omega[j] n / N),
-    ordered as ``plan.omega``.  Computed as one size-N FFT followed by a
-    gather, so repeated frequencies cost O(1) each.
+    ordered as ``plan.omega``.  Computed as one size-N FFT per row, copied
+    to every whole ramp and gathered for the remaining columns, so repeated
+    frequencies cost O(1) each.  The result is written to ``out`` when given.
     """
-    return np.fft.fft(_as_amplitudes(profile, plan)).ravel()[plan._flat]
+    spectrum = np.fft.fft(_as_amplitudes(profile, plan))
+    out = _output(out, plan.omega.shape)
+    _ramp_view(plan, out)[...] = spectrum[..., None, :]
+    # mode="clip" gathers unbuffered; the plan's indices are already checked.
+    np.take(spectrum.reshape(-1), plan._flat, out=out[..., plan._ramps * plan.n_bins :], mode="clip")
+    return out
 
 
-def adjoint(plan: SamplingPlan, measurements: np.ndarray) -> np.ndarray:
+def adjoint(plan: SamplingPlan, measurements: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Apply the adjoint of :func:`forward`.
 
     Returns the N-vector with components sum_j y[j] exp(+i 2 pi omega[j] n / N).
     Measurements sharing a frequency index are accumulated into one spectral
-    bin, in acquisition order, before a single size-N inverse transform:
-    O(M + N log N).
+    bin from 0.0, in acquisition order (whole ramps one at a time, then the
+    remaining columns), before a single size-N inverse transform:
+    O(M + N log N).  The result is written to ``out`` when given.
     """
     y = np.asarray(measurements, dtype=np.complex128)
     if y.shape != plan.omega.shape:
         raise ValueError(f"measurement length {y.shape} does not match n_meas={plan.n_meas}")
-    bins, size = plan._flat.ravel(), math.prod(y.shape[:-1]) * plan.n_bins
-    spectrum = np.bincount(bins, weights=y.real.ravel(), minlength=size) + 1j * np.bincount(
-        bins, weights=y.imag.ravel(), minlength=size
-    )
-    return plan.n_bins * np.fft.ifft(spectrum.reshape(y.shape[:-1] + (plan.n_bins,)))
+    out = _output(out, y.shape[:-1] + (plan.n_bins,))
+    spectrum = np.zeros_like(out)
+    ramps = _ramp_view(plan, y)
+    for i in range(ramps.shape[-2]):
+        spectrum += ramps[..., i, :]
+    if plan._flat.shape[-1]:
+        rest = y[..., plan._ramps * plan.n_bins :]
+        np.add.at(spectrum.reshape(-1), plan._flat.reshape(-1), rest.reshape(-1))
+    # re + 1j * im, as the spectrum of two real sums has always been combined.
+    np.add(spectrum.real, np.multiply(1j, spectrum.imag, out=out), out=out)
+    np.fft.ifft(out, out=out)
+    return np.multiply(plan.n_bins, out, out=out)
 
 
 def random_profile(n_bins: int, sparsity: int, rng):

@@ -2,9 +2,13 @@
 
 Everything here is written as plain loops over math/cmath scalars, on
 purpose: these functions must not share code (or vectorization strategy)
-with the package they check.  The one exception is
+with the package they check.  The exceptions are
 :func:`hard_threshold_argsort`, a row loop over a stable sort, because
-Python's ``sorted`` cannot order NaN keys.
+Python's ``sorted`` cannot order NaN keys, and :func:`forward_gather` and
+:func:`adjoint_bincount`, the package's own earlier operators (one FFT and
+an index gather, one ``bincount`` per part and one inverse FFT), kept as
+bit-exact references: a loop oracle agrees only to rounding, and the
+operators must keep every bit, NaN and signed zero included.
 """
 
 import cmath
@@ -33,6 +37,31 @@ def adjoint_loop(omega, measurements, n_bins):
             acc += y * cmath.exp(2j * cmath.pi * int(w) * n / n_bins)
         out.append(acc)
     return out
+
+
+def _flat_indices(omega, n_bins):
+    """Row i's indices offset by i*N into a flattened (T, N) spectrum."""
+    omega = np.asarray(omega, dtype=np.int64)
+    return omega if omega.ndim == 1 else omega + n_bins * np.arange(len(omega))[:, None]
+
+
+def forward_gather(omega, amplitudes, n_bins):
+    """The forward operator as one FFT per row and one index gather (bit-exact reference)."""
+    return np.fft.fft(np.asarray(amplitudes, dtype=np.complex128)).ravel()[_flat_indices(omega, n_bins)]
+
+
+def adjoint_bincount(omega, measurements, n_bins):
+    """The adjoint as one ``bincount`` per part and one inverse FFT (bit-exact reference).
+
+    ``bincount`` adds each bin's measurements from 0.0 in acquisition order,
+    and the two parts are combined as ``re + 1j * im``.
+    """
+    y = np.asarray(measurements, dtype=np.complex128)
+    bins, size = _flat_indices(omega, n_bins).ravel(), math.prod(y.shape[:-1]) * n_bins
+    spectrum = np.bincount(bins, weights=y.real.ravel(), minlength=size) + 1j * np.bincount(
+        bins, weights=y.imag.ravel(), minlength=size
+    )
+    return n_bins * np.fft.ifft(spectrum.reshape(y.shape[:-1] + (n_bins,)))
 
 
 def hard_threshold_sorted(values, sparsity):

@@ -72,6 +72,8 @@ class TestGenCapture:
             ["--sparsity", "300"],
             ["--bandwidth", "-1"],
             ["--f0", "nan"],
+            ["--bits", "23"],  # finer than a float32 payload holds
+            ["--bits", "32"],
         ],
     )
     def test_bad_arguments_rejected_before_writing(self, tmp_path, capsys, argv):
@@ -100,6 +102,18 @@ class TestRecover:
         assert report["support_bins"] == truth["support_bins"]
         assert len(report["ranges_m"]) == 2
         assert report["stop_reason"] in ("budget", "consistency_target", "consistency_drop")
+
+    @pytest.mark.parametrize("bits", ["16", "22"])
+    def test_fine_grid_capture_replays_consistently(self, tmp_path, capsys, bits):
+        out = tmp_path / "fine.iq"
+        run_cli(
+            capsys, "gen-capture", "--out", str(out), "--n", "64", "--meas", "256",
+            "--sparsity", "2", "--seed", "3", "--bits", bits,
+        )
+        code, stdout, stderr = run_cli(capsys, "recover", "--capture", str(out), "--algo", "qiht", "--sparsity", "2")
+        report = json.loads(stdout)
+        assert code == 0 and "off the quantization grid" not in stderr
+        assert report["final_consistency"] == 1.0 and report["stop_reason"] == "consistency_target"
 
     def test_pbp_path_and_out_file(self, tmp_path, capsys):
         out = tmp_path / "cap.iq"

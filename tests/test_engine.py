@@ -78,17 +78,29 @@ class TestBatchedKernels:
 
 
 class TestBatchedQiht:
-    @pytest.mark.parametrize("bit_depth, dithered", [(1, True), (2, False), (None, False)])
-    def test_rows_equal_single_trial_runs(self, bit_depth, dithered):
-        plans, quantizers, dithers, plan, stacked, dither, y = stacked_chunk(32, 32, 3, bit_depth, range(12), dithered)
+    @staticmethod
+    def assert_rows_equal_single_trial_runs(n_meas, bit_depth, dithered):
+        plans, quantizers, dithers, plan, stacked, dither, y = stacked_chunk(32, n_meas, 3, bit_depth, range(12), dithered)
         recovery = RecoveryConfig(sparsity=3, max_iters=30)
+        inputs = y.tobytes(), stacked.dynamic_range.tobytes()
         estimates, iterations, final, reasons = qiht_batch(plan, stacked, dither, y, recovery)
+        assert (y.tobytes(), stacked.dynamic_range.tobytes()) == inputs  # the batch works in its own arrays
         for i in range(12):
             single = qiht(plans[i], quantizers[i], dithers[i] if dithered else None, y[i], recovery)
-            assert np.array_equal(estimates[i], single.estimate.amplitudes)
+            assert estimates[i].tobytes() == single.estimate.amplitudes.tobytes()
             assert iterations[i] == single.iterations_run
             assert final[i] == single.final_consistency
             assert reasons[i] == single.stop_reason
+
+    @pytest.mark.parametrize("bit_depth, dithered", [(1, True), (2, False), (None, False)])
+    def test_rows_equal_single_trial_runs(self, bit_depth, dithered):
+        self.assert_rows_equal_single_trial_runs(32, bit_depth, dithered)
+
+    # N = 32: below one ramp, two ramps and a remainder, three ramps (one ramp is above).
+    @pytest.mark.parametrize("n_meas", [20, 76, 96])
+    @pytest.mark.parametrize("bit_depth, dithered", [(1, True), (2, False), (None, False)])
+    def test_rows_equal_single_trial_runs_around_ramps(self, bit_depth, dithered, n_meas):
+        self.assert_rows_equal_single_trial_runs(n_meas, bit_depth, dithered)
 
     def test_chunk_rows_stop_for_every_reason(self):
         *_, plan, stacked, dither, y = stacked_chunk(32, 32, 3, 1, range(12))

@@ -227,6 +227,21 @@ class TestStreamingAggregation:
         tracemalloc.stop()
         assert peak <= 5 * trials * max(n_meas, 256) * 16
 
+    @pytest.mark.parametrize("sparsity, n_meas, trials, bound_kib", [(10, 512, 50, 4533), (2, 8192, 4, 3007)])
+    def test_qiht_chunk_peak_within_the_per_iteration_engine(self, sparsity, n_meas, trials, bound_kib):
+        # QIHT runs in working arrays allocated once per call; they must not
+        # raise the peak above that of the engine that allocated new arrays
+        # on every iteration (measured at these sizes: the bounds).
+        import tracemalloc
+
+        point = GridPoint(sparsity, 1, n_meas, True, "qiht")
+        run_trials(point, range(trials), master_seed=0)  # first-call allocations
+        tracemalloc.start()
+        run_trials(point, range(trials), master_seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= bound_kib * 1024
+
 
 class TestProtocolProperties:
     def test_undithered_two_bit_plateau(self):

@@ -1,13 +1,20 @@
-"""Golden-CSV regression: a fixed sweep must reproduce a committed file byte for byte.
+"""Golden-CSV regression: fixed sweeps must reproduce committed files byte for byte.
 
-The sweep covers PBP and QIHT; dithered 1- and 3-bit, undithered 2-bit and
-unquantized acquisition; K in {2, 10}; and, at N=64, measurement counts
+``sweep.csv`` covers PBP and QIHT; dithered 1- and 3-bit, undithered 2-bit
+and unquantized acquisition; K in {2, 10}; and, at N=64, measurement counts
 below one ramp, at a whole number of ramps and with a partial last ramp.
 At the largest M a grid point holds more trials than one work unit of
 ``run_grid``, so the file also pins how split points are put back together.
 
-``tests/golden/sweep.csv`` was written by the one-trial-at-a-time engine
-that the batched engine replaced.  Regenerate it
+``sweep_n256.csv`` pins rows at the paper's size, N=256: dithered 1-bit
+QIHT at (K=10, B=2^9) and (K=2, B=2^13), dithered 3-bit QIHT on two ramps
+plus a partial one, unquantized QIHT below one ramp and with a remainder,
+and undithered 2-bit PBP on whole ramps.  Every point spans several work
+units.
+
+``sweep.csv`` was written by the one-trial-at-a-time engine that the
+batched engine replaced; ``sweep_n256.csv`` by the engine before QIHT ran
+in per-chunk buffers.  Regenerate them
 (``PYTHONPATH=src python tests/test_golden.py``) only for a change that is
 meant to alter results, and say so in CHANGES.md.
 """
@@ -20,7 +27,7 @@ import pytest
 from qcsradar.evaluation import ExperimentConfig, run_grid
 from qcsradar.io import write_results
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "sweep.csv")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 # b=1 / b=3 (dithered) and b=2 (undithered) give M = 48, a multiple of
 # N = 64, and a multiple plus half a ramp; so do the unquantized rates.
@@ -29,6 +36,17 @@ _ACQUISITIONS = (
     dict(bit_depths=(1, 3), bitrates=(48, 6144, 6240), dithered=True),
     dict(bit_depths=(2,), bitrates=(96, 12288, 12480), dithered=False),
     dict(bit_depths=(None,), bitrates=(32 * 48, 32 * 6144, 32 * 6240), dithered=False),
+)
+
+# M = 512, 8192, 640 (two ramps and half of a third), 128 and 320 (one ramp
+# and a quarter), and 512.
+_N256 = dict(n_bins=256, master_seed=11)
+_N256_POINTS = (
+    dict(algorithm="qiht", sparsities=(10,), bit_depths=(1,), bitrates=(2**9,), dithered=True, trials=200),
+    dict(algorithm="qiht", sparsities=(2,), bit_depths=(1,), bitrates=(2**13,), dithered=True, trials=16),
+    dict(algorithm="qiht", sparsities=(2, 10), bit_depths=(3,), bitrates=(3 * 640,), dithered=True, trials=100),
+    dict(algorithm="qiht", sparsities=(2,), bit_depths=(None,), bitrates=(32 * 128, 32 * 320), dithered=False, trials=150),
+    dict(algorithm="pbp", sparsities=(2, 10), bit_depths=(2,), bitrates=(2 * 512,), dithered=False, trials=150),
 )
 
 
@@ -40,21 +58,39 @@ def golden_configs():
     ]
 
 
-def write_sweep(path, max_workers):
-    results = [r for config in golden_configs() for r in run_grid(config, max_workers=max_workers)]
+def golden_configs_n256():
+    return [ExperimentConfig(**_N256, **point) for point in _N256_POINTS]
+
+
+SWEEPS = {"sweep.csv": golden_configs, "sweep_n256.csv": golden_configs_n256}
+
+
+def write_sweep(path, max_workers, configs=golden_configs):
+    results = [r for config in configs() for r in run_grid(config, max_workers=max_workers)]
     write_results(results, path)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_matches_golden_csv(tmp_path, workers):
-    out = tmp_path / "sweep.csv"
-    write_sweep(out, max_workers=workers)
-    with open(GOLDEN, "rb") as fh:
+def _check(tmp_path, name, workers):
+    out = tmp_path / name
+    write_sweep(out, max_workers=workers, configs=SWEEPS[name])
+    with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
         expected = fh.read()
     assert out.read_bytes() == expected
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_matches_golden_csv(tmp_path, workers):
+    _check(tmp_path, "sweep.csv", workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_n256_sweep_matches_golden_csv(tmp_path, workers):
+    _check(tmp_path, "sweep_n256.csv", workers)
+
+
 if __name__ == "__main__":
-    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    write_sweep(GOLDEN, max_workers=int(sys.argv[1]) if len(sys.argv) > 1 else None)
-    print(f"wrote {GOLDEN}")
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    workers = int(sys.argv[1]) if len(sys.argv) > 1 else None
+    for name, configs in SWEEPS.items():
+        write_sweep(os.path.join(GOLDEN_DIR, name), max_workers=workers, configs=configs)
+        print(f"wrote {name}")

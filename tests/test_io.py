@@ -8,6 +8,7 @@ import pytest
 
 from qcsradar.evaluation import AggregateResult, ExperimentConfig, GridPoint
 from qcsradar.io import (
+    CAPTURE_MAX_BITS,
     Capture,
     config_to_json,
     parse_config,
@@ -213,6 +214,24 @@ class TestCaptureRoundTrip:
             back = read_capture(path)
         assert any("off the quantization grid" in rec.message for rec in caplog.records)
         np.testing.assert_array_equal(back.samples, scaled.astype(np.complex128))
+
+    @pytest.mark.parametrize("bit_depth", [16, 18, 20, CAPTURE_MAX_BITS])
+    def test_fine_grids_snap_back_exactly(self, tmp_path, caplog, bit_depth):
+        # float32 storage moves a part by up to 2**(b-25) steps: from b = 16
+        # that is more than the 1e-3 steps the snap allows beyond it.
+        capture, _ = _make_capture(seed=11, bit_depth=bit_depth, m=256)
+        path = tmp_path / "c.iq"
+        write_capture(path, capture)
+        with caplog.at_level(logging.WARNING):
+            back = read_capture(path)
+        assert not caplog.records
+        assert back.samples.tobytes() == capture.samples.tobytes()
+
+    def test_grids_finer_than_float32_rejected_at_write(self, tmp_path):
+        capture, _ = _make_capture(seed=12, bit_depth=CAPTURE_MAX_BITS + 1)
+        with pytest.raises(ValueError, match=f"capture: bit depth {CAPTURE_MAX_BITS + 1} is finer"):
+            write_capture(tmp_path / "c.iq", capture)
+        assert not (tmp_path / "c.iq").exists()
 
     def test_plan_seed_only_sidecar(self, tmp_path):
         capture, _ = _make_capture(seed=9)

@@ -88,6 +88,21 @@ class TestHardThresholdByPartition:
             if t == 1:
                 assert hard_threshold(rows[0], k).tobytes() == want[0].tobytes()
 
+    def test_mixed_rows_and_out_equal_the_oracle(self):
+        # One call mixes rows with a unique K-th modulus, ties at it and too
+        # few numbers, so rows of both rules share a batch; ``out`` may be the input.
+        rng = np.random.default_rng(5)
+        kinds = ("random", "tied", "nan_heavy", "infinite", "all_zero")
+        rows = np.concatenate([threshold_rows(kind, 5, 32, rng) for kind in kinds])
+        rows = rows[rng.permutation(len(rows))]
+        for k in (1, 3, 10):
+            want = brute.hard_threshold_argsort(rows, k).tobytes()
+            assert hard_threshold(rows, k).tobytes() == want
+            out = np.full_like(rows, 7.0)
+            assert hard_threshold(rows, k, out=out) is out and out.tobytes() == want
+            inplace = rows.copy()
+            assert hard_threshold(inplace, k, out=inplace).tobytes() == want
+
     def test_nan_row_keeps_its_numbers_then_its_lowest_nans(self):
         nan = complex(np.nan, 0.0)
         row = np.array([nan, 0.5, nan, nan, 2.0, nan])
