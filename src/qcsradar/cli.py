@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -137,8 +138,11 @@ def _emit(payload: dict, out_path) -> None:
     if out_path is None:
         print(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise OSError(f"io: cannot write report to {out_path}: {exc}") from None
 
 
 def _cmd_simulate(args) -> int:
@@ -272,7 +276,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="qcsradar",
         description="Sparse radar range estimation from dithered, severely quantized compressive measurements.",

@@ -17,10 +17,16 @@ batch within CHUNK_ELEMENTS.  The chunk's 3T seeds are one
 pass and each draw re-keys a single generator row by row; ``forward`` runs
 once per chunk, and its output takes the dither and the quantizer in place.
 A chunk's result is one :class:`TrialOutcomes` of (T,) arrays: hits,
-l2 error and iterations, in trial order.  :func:`run_grid` hands out
-(grid point, trial chunk) tasks, so a single point keeps every worker busy,
-and adds the outcomes up in trial order, so the aggregates do not depend on
-the worker count.
+l2 error and iterations, in trial order.
+
+:func:`run_grid` sizes chunks for memory and batches for balance.  Every
+(grid point, trial chunk) pair is a task, so a single point keeps every
+worker busy; the pool takes the tasks in consecutive batches, about
+BATCHES_PER_WORKER per worker, which may span points.  Pool workers keep
+freed memory in their heap (:func:`_keep_heap`), so each chunk reuses the
+pages of the one before.  The outcomes come back in task order and are
+added up in trial order, so the aggregates do not depend on the worker
+count.
 
 Configs have one validation boundary: :class:`GridPoint` checks the rules
 of one point (algorithm, sparsity, bit depth, integer M),
@@ -32,6 +38,8 @@ and one RecoveryConfig per sparsity.  Nothing else restates these rules.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import itertools
 import logging
 import os
@@ -70,6 +78,19 @@ MEAS_RANGE = (2**3, 2**13)
 # Most rows x columns (trials x max(M, N)) one chunk of trials holds: larger
 # chunks amortize more per-call overhead but grow each worker's working set.
 CHUNK_ELEMENTS = 2**15
+
+# Batches per worker in one run_grid call: each batch of chunks is one task
+# for the pool, and several per worker keep the workers evenly loaded.
+BATCHES_PER_WORKER = 8
+
+# glibc's mallopt parameters (malloc.h) and the values a pool worker sets.
+# Arrays up to twice a chunk's largest (one complex128 stack of
+# CHUNK_ELEMENTS values, 512 KiB) come from the heap rather than from mmap,
+# and the heap is trimmed only above 16 MiB, beyond a chunk's peak (about
+# 3.5 MiB), so a worker's next chunk reuses pages it has already touched.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_WORKER_MMAP_THRESHOLD = 2 * 16 * CHUNK_ELEMENTS
+_WORKER_TRIM_THRESHOLD = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -357,6 +378,17 @@ def _resolve_workers(max_workers: Optional[int], n_tasks: int) -> int:
     return max(1, min(max_workers, n_tasks))
 
 
+def _keep_heap() -> None:
+    """Pool worker initializer: keep freed memory in the heap between chunks (glibc only)."""
+    try:
+        os.confstr("CS_GNU_LIBC_VERSION")
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ValueError, OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
+
+
 def run_grid(
     config: ExperimentConfig,
     max_workers: Optional[int] = None,
@@ -366,7 +398,9 @@ def run_grid(
     Points whose measurement count falls outside MEAS_RANGE are skipped with
     a warning.  Each point's trials split into chunks (:func:`trial_chunks`)
     that run independently, on several worker processes when there is more
-    than one chunk (capped by the QCS_THREADS environment variable).
+    than one chunk (capped by the QCS_THREADS environment variable), in
+    batches; one worker runs them in this process and leaves its allocator
+    alone.
     Per-trial results are added up in trial order, so the aggregates are the
     same for any worker count; the output is sorted by (algorithm, dithered,
     bit depth, sparsity, bitrate).
@@ -384,8 +418,9 @@ def run_grid(
     tasks = [(point, chunk) for point, chunks in chunked for chunk in chunks]
     workers = _resolve_workers(max_workers, len(tasks))
     results = []
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        run = map if pool is None else pool.map
+    batch = -(-len(tasks) // (BATCHES_PER_WORKER * workers))
+    with ProcessPoolExecutor(workers, initializer=_keep_heap) if workers > 1 else contextlib.nullcontext() as pool:
+        run = map if pool is None else functools.partial(pool.map, chunksize=batch)
         outcomes = run(_run_chunk, [config] * len(tasks), *zip(*tasks))
         for point, chunks in chunked:
             result = _aggregate(point, itertools.islice(outcomes, len(chunks)))

@@ -87,6 +87,8 @@ def parse_config(path) -> ExperimentConfig:
         raise _config_error(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise _config_error(f"invalid JSON in {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _config_error(f"cannot read {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise _config_error("top level must be a JSON object")
     unknown = set(raw) - {field.name for field in dataclasses.fields(ExperimentConfig)}
@@ -295,7 +297,8 @@ def _dither_values(pairs, n_meas: int) -> np.ndarray:
 def read_capture(path) -> Capture:
     """Load a capture; regenerates the dither when stored as a seed.
 
-    The capture validation boundary: a malformed sidecar or payload raises
+    The capture validation boundary: an unreadable or malformed sidecar or
+    payload, or a bit depth finer than a float32 payload holds, raises
     ``ValueError("capture: ...")`` here, before any recovery can run.
     """
     sidecar_path = _sidecar_path(path)
@@ -306,11 +309,15 @@ def read_capture(path) -> Capture:
         raise _capture_error(f"missing sidecar {sidecar_path}") from None
     except json.JSONDecodeError as exc:
         raise _capture_error(f"invalid sidecar JSON in {sidecar_path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _capture_error(f"cannot read sidecar {sidecar_path}: {exc}") from None
     try:
         with open(path, "rb") as fh:
             payload = fh.read()
     except FileNotFoundError:
         raise _capture_error(f"missing payload {path}") from None
+    except OSError as exc:
+        raise _capture_error(f"cannot read payload {path}: {exc}") from None
 
     if not isinstance(sidecar, dict):
         raise _capture_error("sidecar must be a JSON object")
@@ -345,6 +352,7 @@ def read_capture(path) -> Capture:
 
     # The fields are type-checked; the constructors check their ranges.
     try:
+        check_capture_bit_depth(bit_depth)
         if "omega" in sidecar:
             omega = np.asarray(sidecar["omega"], dtype=np.int64)
             plan = SamplingPlan(n_bins=n_bins, n_meas=n_meas, omega=omega, seed=plan_seed)

@@ -197,6 +197,85 @@ class TestRecover:
         assert stderr.startswith("error: capture:")
 
 
+    @pytest.mark.parametrize("bits", [23, 26])
+    def test_grid_finer_than_float32_rejected_on_read(self, tmp_path, capsys, monkeypatch, bits):
+        # From b = 25 a float32 payload snaps into wrong cells without a warning.
+        out = tmp_path / "cap.iq"
+        run_cli(capsys, "gen-capture", "--out", str(out), "--n", "64", "--meas", "256", "--seed", "3")
+        sidecar = json.loads((tmp_path / "cap.iq.json").read_text())
+        (tmp_path / "cap.iq.json").write_text(json.dumps(dict(sidecar, bit_depth=bits)))
+
+        def no_recovery(*args, **kwargs):
+            raise AssertionError("recovery ran")
+
+        monkeypatch.setattr(cli, "qiht", no_recovery)
+        code, stdout, stderr = run_cli(capsys, "recover", "--capture", str(out), "--sparsity", "2")
+        assert code == 1 and stdout == ""
+        assert stderr.startswith(f"error: capture: bit depth {bits} is finer") and stderr.count("\n") == 1
+
+
+class TestFileErrors:
+    """A file that cannot be read or written ends in one ``<kind>:`` line."""
+
+    def _capture(self, tmp_path, capsys):
+        out = tmp_path / "cap.iq"
+        run_cli(capsys, "gen-capture", "--out", str(out), "--n", "64", "--meas", "256", "--seed", "1")
+        return out
+
+    def _one_line(self, code, stdout, stderr, kind):
+        assert code == 1 and stdout == ""
+        assert stderr.startswith(f"error: {kind}: ") and stderr.count("\n") == 1
+
+    def test_config_that_is_a_directory(self, tmp_path, capsys):
+        result = run_cli(capsys, "simulate", "--config", str(tmp_path), "--out", str(tmp_path / "r.csv"))
+        self._one_line(*result, "config")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"trials": 2, "master_seed": "\xff"}')
+        result = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv"))
+        self._one_line(*result, "config")
+
+    @pytest.mark.parametrize("part", ["cap.iq", "cap.iq.json"])
+    def test_capture_file_that_is_a_directory(self, tmp_path, capsys, part):
+        out = self._capture(tmp_path, capsys)
+        (tmp_path / part).unlink()
+        (tmp_path / part).mkdir()
+        result = run_cli(capsys, "recover", "--capture", str(out), "--sparsity", "2")
+        self._one_line(*result, "capture")
+
+    def test_sidecar_that_is_not_utf8(self, tmp_path, capsys):
+        out = self._capture(tmp_path, capsys)
+        sidecar = tmp_path / "cap.iq.json"
+        sidecar.write_bytes(sidecar.read_bytes().replace(b'"radar"', b'"\xffradar"'))
+        result = run_cli(capsys, "recover", "--capture", str(out), "--sparsity", "2")
+        self._one_line(*result, "capture")
+
+    def test_report_that_cannot_be_written(self, tmp_path, capsys):
+        out = self._capture(tmp_path, capsys)
+        report = tmp_path / "missing" / "r.json"
+        code, stdout, stderr = run_cli(
+            capsys, "recover", "--capture", str(out), "--sparsity", "2", "--algo", "pbp", "--out", str(report)
+        )
+        self._one_line(code, stdout, stderr, "io")
+        assert stderr.startswith(f"error: io: cannot write report to {report}: ")
+
+
+class TestParserReuse:
+    def test_back_to_back_calls_do_not_leak_options(self, tmp_path, capsys):
+        # The parser is built once per process; each call starts from the defaults.
+        first, second = tmp_path / "a.iq", tmp_path / "b.iq"
+        code, stdout, _ = run_cli(
+            capsys, "gen-capture", "--out", str(first), "--meas", "64", "--no-dithered", "--store-dither-values"
+        )
+        assert code == 0 and json.loads(stdout)["dithered"] is False
+        code, stdout, _ = run_cli(capsys, "gen-capture", "--out", str(second), "--meas", "64")
+        assert code == 0 and json.loads(stdout)["dithered"] is True
+        dither = json.loads((tmp_path / "b.iq.json").read_text())["dither"]
+        assert set(dither) == {"seed", "delta"}
+
+
 class TestAmbiguityCommand:
     def test_report_shape(self, capsys):
         code, stdout, _ = run_cli(

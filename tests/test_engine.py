@@ -5,10 +5,16 @@ QIHT loop and the chunked grid runner are checked row for row, and bit for
 bit, against the single-trial path.
 """
 
+import itertools
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
 import brute
+from qcsradar import evaluation
 from qcsradar.evaluation import (
     ExperimentConfig,
     GridPoint,
@@ -155,6 +161,27 @@ class TestChunkedGrid:
         serial, parallel = run_grid(config, max_workers=1), run_grid(config, max_workers=2)
         assert [vars(r) for r in serial] == [vars(r) for r in parallel]
 
+    def test_batches_across_points_are_worker_independent(self, monkeypatch):
+        # 4 + 7 + 14 chunks: at 2 and 3 workers the pool takes batches of 2,
+        # one of them holds the last chunk of a point and the first of the next,
+        # and the last batch is short.
+        config = ExperimentConfig(n_bins=64, bitrates=(2048, 4096, 8192), trials=53, master_seed=5)
+        ends = list(itertools.accumulate(len(trial_chunks(config, p)) for p in config.grid_points()))
+        batches = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def map(self, fn, *iterables, chunksize=1):
+                batches.append(chunksize)
+                return super().map(fn, *iterables, chunksize=chunksize)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        serial = [vars(r) for r in run_grid(config, max_workers=1)]
+        for workers in (2, 3):
+            assert [vars(r) for r in run_grid(config, max_workers=workers)] == serial
+            batch = batches.pop()
+            assert batch > 1 and ends[-1] % batch != 0
+            assert any(end % batch for end in ends[:-1])
+
     def test_aggregate_adds_one_trial_at_a_time(self):
         # np.sum adds pairwise and the builtin sum compensates (Python 3.12+);
         # either changes the last bits of the CSV, so compare with a plain loop.
@@ -175,3 +202,36 @@ class TestChunkedGrid:
         assert result.mean_tpr_pct == 100.0 * mean
         assert result.stderr_pct == 100.0 * ((tpr_sq_sum - 300 * mean * mean) / 299 / 300) ** 0.5
         assert result.mean_l2_error == l2_sum / 300
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError):
+        return False
+
+
+def _warm_chunk_faults(point, trials, repeats):
+    """Minor page faults of each of ``repeats`` chunks run after a first one."""
+    import resource
+
+    run_trials(point, trials, 901)
+    faults = []
+    for _ in range(repeats):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_trials(point, trials, 901)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return faults
+
+
+@pytest.mark.skipif(not _glibc(), reason="the worker heap policy applies to glibc only")
+def test_pool_workers_keep_their_heap_between_chunks():
+    # Spawned workers start from glibc's default allocator state, whatever this
+    # process allocated before; this process's allocator is left alone.
+    spawn = multiprocessing.get_context("spawn")
+    point = GridPoint(2, 1, 8192, True, "pbp")
+    faults = {}
+    for initializer in (None, evaluation._keep_heap):
+        with ProcessPoolExecutor(1, mp_context=spawn, initializer=initializer) as pool:
+            faults[initializer] = sum(pool.submit(_warm_chunk_faults, point, range(4), 5).result())
+    assert faults[evaluation._keep_heap] * 10 <= faults[None]
