@@ -32,7 +32,6 @@ from .quantization import (
     draw_dither,
     dynamic_range_for,
     quantize_complex,
-    quantize_scalar,
     sense,
 )
 from .recovery import (

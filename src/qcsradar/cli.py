@@ -20,7 +20,15 @@ import numpy as np
 
 from .ambiguity import ambiguity_report
 from .evaluation import run_grid
-from .io import Capture, check_capture_bit_depth, parse_config, read_capture, write_capture, write_results
+from .io import (
+    Capture,
+    check_capture_bit_depth,
+    check_output_path,
+    parse_config,
+    read_capture,
+    write_capture,
+    write_results,
+)
 from .quantization import adapted_quantizer, check_bit_depth, draw_dither, sense
 from .recovery import RecoveryConfig, consistency, pbp, qiht
 from .seeding import derive_seed
@@ -154,6 +162,7 @@ def _cmd_simulate(args) -> int:
         overrides["master_seed"] = args.seed
     with _argument_errors():
         config = dataclasses.replace(config, **overrides)
+    check_output_path(args.out, "results")
     results = run_grid(config, max_workers=args.workers)
     if not results:
         raise ValueError("config: the grid contains no runnable points")
@@ -189,6 +198,8 @@ def _cmd_recover(args) -> int:
             max_iters=args.max_iters,
             consistency_target=args.target,
         )
+    if args.out is not None:
+        check_output_path(args.out, "report")
     capture = read_capture(args.capture)
     plan, quantizer, dither = capture.plan, capture.quantizer, capture.dither
     if args.sparsity > plan.n_bins:

@@ -8,25 +8,29 @@ depend only on the quantities that should vary them — profiles on
 differ only in bit-rate or algorithm are compared on common random numbers,
 mirroring the exact saturation plateaus of undithered quantization.
 
-Trials run in chunks (:func:`run_trials`): every trial draws from its own
-sub-seeds and gets its own range-adapted quantizer, but the chunk is drawn
-as stacked arrays (each draw takes the chunk's T seeds, and one range rule
-gives a (T, 1) column of ranges), then sensed and recovered as one (T, M)
-batch within CHUNK_ELEMENTS.  The chunk's 3T seeds are one
-:class:`~qcsradar.seeding.SeedStack`, so their Philox keys are derived in one
-pass and each draw re-keys a single generator row by row; ``forward`` runs
-once per chunk, and its output takes the dither and the quantizer in place.
-A chunk's result is one :class:`TrialOutcomes` of (T,) arrays: hits,
-l2 error and iterations, in trial order.
+Trials run in blocks (:func:`run_block`): a block is a range of consecutive
+trials run at every point of one sparsity.  Its profiles are the same at
+each of those points, so the block derives their seeds once, draws the
+(T, N) profiles once and takes their FFT once.  All the block's seeds form
+one :class:`~qcsradar.seeding.SeedStack`, so their Philox keys are derived
+in one pass and each draw re-keys a single generator row by row.  Each
+point then runs in sub-chunks of at most CHUNK_ELEMENTS values: every trial
+still draws its plan and dither from its own sub-seeds and gets its own
+range-adapted quantizer, but a sub-chunk is drawn as stacked arrays (one
+range rule gives a (T, 1) column of ranges), ``forward`` gathers it from
+the block's spectrum, and its output takes the dither and the quantizer in
+place before the rows are recovered as one batch.  A trial's outcome does
+not depend on which other trials share its block or sub-chunk.  A point's
+result is one :class:`TrialOutcomes` of (T,) arrays: hits, l2 error and
+iterations, in trial order.  :func:`run_trials` is the block of one point.
 
-:func:`run_grid` sizes chunks for memory and batches for balance.  Every
-(grid point, trial chunk) pair is a task, so a single point keeps every
-worker busy; the pool takes the tasks in consecutive batches, about
-BATCHES_PER_WORKER per worker, which may span points.  Pool workers keep
-freed memory in their heap (:func:`_keep_heap`), so each chunk reuses the
-pages of the one before.  The outcomes come back in task order and are
-added up in trial order, so the aggregates do not depend on the worker
-count.
+:func:`run_grid` makes one task per block, and at least one block per
+worker for each sparsity; a block holds at most CHUNK_ELEMENTS profile
+values.  Every block of a sparsity carries the same points, so the blocks
+balance across workers by construction.  Pool workers keep freed memory in
+their heap (:func:`_keep_heap`), so each sub-chunk reuses the pages of the
+one before.  The outcomes come back in task order and are added up in trial
+order, so the aggregates do not depend on the worker count.
 
 Configs have one validation boundary: :class:`GridPoint` checks the rules
 of one point (algorithm, sparsity, bit depth, integer M),
@@ -39,7 +43,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import itertools
 import logging
 import os
@@ -65,6 +68,8 @@ __all__ = [
     "trial_seeds",
     "run_trial",
     "run_trials",
+    "run_block",
+    "trial_blocks",
     "run_grid",
 ]
 
@@ -75,19 +80,17 @@ ALGORITHMS = ("pbp", "qiht")
 # Admissible measurement counts for the evaluation protocol.
 MEAS_RANGE = (2**3, 2**13)
 
-# Most rows x columns (trials x max(M, N)) one chunk of trials holds: larger
-# chunks amortize more per-call overhead but grow each worker's working set.
+# Most rows x columns (trials x max(M, N)) one sub-chunk of trials holds, and
+# most profile values (trials x N) one block holds: larger chunks amortize
+# more per-call overhead but grow each worker's working set.
 CHUNK_ELEMENTS = 2**15
-
-# Batches per worker in one run_grid call: each batch of chunks is one task
-# for the pool, and several per worker keep the workers evenly loaded.
-BATCHES_PER_WORKER = 8
 
 # glibc's mallopt parameters (malloc.h) and the values a pool worker sets.
 # Arrays up to twice a chunk's largest (one complex128 stack of
 # CHUNK_ELEMENTS values, 512 KiB) come from the heap rather than from mmap,
-# and the heap is trimmed only above 16 MiB, beyond a chunk's peak (about
-# 3.5 MiB), so a worker's next chunk reuses pages it has already touched.
+# and the heap is trimmed only above 16 MiB, beyond a block's peak (4 to
+# 5 MiB at N=256: its profiles and spectrum, and one sub-chunk), so a
+# worker's next sub-chunk reuses pages it has already touched.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _WORKER_MMAP_THRESHOLD = 2 * 16 * CHUNK_ELEMENTS
 _WORKER_TRIM_THRESHOLD = 16 * 2**20
@@ -175,7 +178,11 @@ class ExperimentConfig:
         # algorithm, so that no bad value reaches a worker.
         self.grid_points()
         for k in self.sparsities:
-            RecoveryConfig(k, self.mu, self.max_iters, self.consistency_target)
+            self.recovery(k)
+
+    def recovery(self, sparsity: int) -> RecoveryConfig:
+        """The QIHT settings of the points with this sparsity."""
+        return RecoveryConfig(sparsity, self.mu, self.max_iters, self.consistency_target)
 
     def grid_points(self) -> list:
         """All grid points in deterministic order (not yet range-checked)."""
@@ -222,11 +229,91 @@ def trial_seeds(point: GridPoint, trial_indices, master_seed: int, n_bins: int =
     The common-random-numbers rule: profiles depend on (n_bins, K, trial),
     plans on (n_bins, M, trial) and dithers on (n_bins, M, b, trial) only.
     """
-    k, m, b = point.sparsity, point.n_meas, point.bit_depth
+    return (_profile_seeds(point.sparsity, trial_indices, master_seed, n_bins),) + _acquisition_seeds(
+        point, trial_indices, master_seed, n_bins
+    )
+
+
+def _profile_seeds(sparsity: int, trial_indices, master_seed: int, n_bins: int) -> list:
+    return derive_seeds(master_seed, ("profile", n_bins, sparsity), trial_indices)
+
+
+def _acquisition_seeds(point: GridPoint, trial_indices, master_seed: int, n_bins: int) -> tuple:
+    m, b = point.n_meas, point.bit_depth
     return (
-        derive_seeds(master_seed, ("profile", n_bins, k), trial_indices),
         derive_seeds(master_seed, ("plan", n_bins, m), trial_indices),
         derive_seeds(master_seed, ("dither", n_bins, m, b), trial_indices),
+    )
+
+
+def _even_ranges(count: int, parts: int) -> list:
+    """``range(count)`` cut into ``parts`` consecutive ranges whose lengths differ by at most one."""
+    bounds = [count * i // parts for i in range(parts + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def run_block(points, trial_indices, master_seed: int, n_bins: int, recovery: RecoveryConfig) -> list:
+    """Execute the same seeded trials at every point, all of sparsity ``recovery.sparsity``.
+
+    The profiles and their spectrum are drawn once for all the points; each
+    point runs in sub-chunks of at most CHUNK_ELEMENTS values.  A plan that
+    holds a whole ramp sees every bin, so its rows' range peaks are the
+    largest spectral moduli.  Returns one :class:`TrialOutcomes` per point,
+    in the order of ``points``.
+    """
+    k, t = recovery.sparsity, len(trial_indices)
+    # T rows each: the profiles, then every point's plans and its dithers.
+    seeds = _profile_seeds(k, trial_indices, master_seed, n_bins)
+    for point in points:
+        for point_seeds in _acquisition_seeds(point, trial_indices, master_seed, n_bins):
+            seeds += point_seeds
+    stack = SeedStack(seeds)
+    truth = random_profile(n_bins, k, stack[:t])
+    spectrum = np.fft.fft(truth)
+    peaks = np.max(np.abs(spectrum), axis=1, keepdims=True)
+    outcomes = []
+    for i, point in enumerate(points):
+        plan_rows, dither_rows = t * (2 * i + 1), t * (2 * i + 2)
+        chunks = _even_ranges(t, -(-t // _chunk_rows(point, n_bins)))
+        parts = [
+            _run_rows(
+                point,
+                truth[c.start : c.stop],
+                spectrum[c.start : c.stop],
+                peaks[c.start : c.stop] if point.n_meas >= n_bins else None,
+                stack[plan_rows + c.start : plan_rows + c.stop],
+                stack[dither_rows + c.start : dither_rows + c.stop],
+                recovery,
+            )
+            for c in chunks
+        ]
+        outcomes.append(TrialOutcomes(*map(np.concatenate, zip(*parts))))
+    return outcomes
+
+
+def _chunk_rows(point: GridPoint, n_bins: int) -> int:
+    """Most trials of the point one sub-chunk holds."""
+    return max(1, CHUNK_ELEMENTS // max(point.n_meas, n_bins))
+
+
+def _run_rows(point, truth, spectrum, peaks, plan_seeds, dither_seeds, recovery) -> TrialOutcomes:
+    """Outcomes of one sub-chunk of a point's trials, whose profiles and spectra are given."""
+    n_bins, m, b = truth.shape[1], point.n_meas, point.bit_depth
+    plan = make_sampling_plan(n_bins, m, plan_seeds)
+    r = forward(plan, spectrum=spectrum)
+    quantizer = adapted_quantizer(r, b, point.effective_dithered, peak=peaks)
+    dither = draw_dither(quantizer, m, dither_seeds) if point.effective_dithered else None
+    y = _acquire(quantizer, dither, r)
+    if point.algorithm == "pbp":
+        estimates, iterations = pbp(plan, y, point.sparsity), np.zeros(len(truth), dtype=int)
+    else:
+        estimates, iterations, _, _ = qiht_batch(plan, quantizer, dither, y, recovery)
+    return TrialOutcomes(
+        hits=np.count_nonzero((truth != 0) & (estimates != 0), axis=1),
+        # The 1-D norm of each row, as a single trial computes it, without a
+        # (T, N) difference array.
+        l2_error=np.array([np.linalg.norm(a - e) for a, e in zip(truth, estimates)]),
+        iterations=iterations,
     )
 
 
@@ -240,45 +327,14 @@ def run_trials(
     consistency_target: float = 0.95,
     max_iters: Optional[int] = None,
 ) -> TrialOutcomes:
-    """Execute seeded trials of the grid point as one batch.
+    """Execute seeded trials of the grid point: a :func:`run_block` of one point.
 
     Each trial draws its profile, plan, and dither from its own sub-seeds of
-    ``master_seed`` (:func:`trial_seeds`) and gets its own range-adapted
-    quantizer; the draws take the chunk's T seeds at once, keyed together,
-    and return (T, N) and (T, M) stacks.  One ``forward`` pass sizes the
-    ranges and is then dithered and quantized in its own buffer.  The batch
-    is recovered with the point's algorithm and scored for support recovery
-    and l2 error, row by row.
+    ``master_seed`` (:func:`trial_seeds`), gets its own range-adapted
+    quantizer, and is scored for support recovery and l2 error.
     """
-    k, m, b = point.sparsity, point.n_meas, point.bit_depth
-    t = len(trial_indices)
-    # All 3T seeds form one stack, so their Philox keys are derived in one pass.
-    stack = SeedStack(itertools.chain(*trial_seeds(point, trial_indices, master_seed, n_bins)))
-    truth = random_profile(n_bins, k, stack[:t])
-    plan = make_sampling_plan(n_bins, m, stack[t : 2 * t])
-    r = forward(plan, truth)
-    quantizer = adapted_quantizer(r, b, point.effective_dithered)
-    dither = draw_dither(quantizer, m, stack[2 * t :]) if point.effective_dithered else None
-    y = _acquire(quantizer, dither, r)
-
-    if point.algorithm == "pbp":
-        estimates, iterations = pbp(plan, y, k), np.zeros(t, dtype=int)
-    else:
-        recovery = RecoveryConfig(
-            sparsity=k,
-            step_size=mu,
-            max_iters=max_iters,
-            consistency_target=consistency_target,
-        )
-        estimates, iterations, _, _ = qiht_batch(plan, quantizer, dither, y, recovery)
-
-    return TrialOutcomes(
-        hits=np.count_nonzero((truth != 0) & (estimates != 0), axis=1),
-        # The 1-D norm of each row, as a single trial computes it, without a
-        # (T, N) difference array.
-        l2_error=np.array([np.linalg.norm(a - e) for a, e in zip(truth, estimates)]),
-        iterations=iterations,
-    )
+    recovery = RecoveryConfig(point.sparsity, mu, max_iters, consistency_target)
+    return run_block((point,), trial_indices, master_seed, n_bins, recovery)[0]
 
 
 def run_trial(point: GridPoint, trial_index: int, master_seed: int, **options) -> TrialOutcomes:
@@ -294,24 +350,10 @@ def point_is_runnable(point: GridPoint) -> tuple:
     return True, ""
 
 
-def trial_chunks(config: ExperimentConfig, point: GridPoint) -> list:
-    """The point's trials as even, consecutive ranges within CHUNK_ELEMENTS."""
-    n_chunks = -(-config.trials // max(1, CHUNK_ELEMENTS // max(point.n_meas, config.n_bins)))
-    bounds = [config.trials * i // n_chunks for i in range(n_chunks + 1)]
-    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _run_chunk(config: ExperimentConfig, point: GridPoint, trials: range) -> TrialOutcomes:
-    """Outcomes of the chunk's trials, in trial order."""
-    return run_trials(
-        point,
-        trials,
-        config.master_seed,
-        n_bins=config.n_bins,
-        mu=config.mu,
-        consistency_target=config.consistency_target,
-        max_iters=config.max_iters,
-    )
+def trial_blocks(config: ExperimentConfig, workers: int) -> list:
+    """The trials as even, consecutive blocks: at least ``workers``, each within CHUNK_ELEMENTS profile values."""
+    per_block = max(1, CHUNK_ELEMENTS // config.n_bins)
+    return _even_ranges(config.trials, min(config.trials, max(workers, -(-config.trials // per_block))))
 
 
 def _aggregate(point: GridPoint, chunks) -> AggregateResult:
@@ -345,8 +387,10 @@ def _aggregate(point: GridPoint, chunks) -> AggregateResult:
 
 
 def _aggregate_point(config: ExperimentConfig, point: GridPoint) -> AggregateResult:
-    """Run all trials of one point in this process, chunk by chunk."""
-    return _aggregate(point, (_run_chunk(config, point, c) for c in trial_chunks(config, point)))
+    """Run all trials of one point in this process, block by block."""
+    recovery = config.recovery(point.sparsity)
+    blocks = trial_blocks(config, 1)
+    return _aggregate(point, (run_block((point,), b, config.master_seed, config.n_bins, recovery)[0] for b in blocks))
 
 
 def sort_key(point: GridPoint) -> tuple:
@@ -379,7 +423,7 @@ def _resolve_workers(max_workers: Optional[int], n_tasks: int) -> int:
 
 
 def _keep_heap() -> None:
-    """Pool worker initializer: keep freed memory in the heap between chunks (glibc only)."""
+    """Pool worker initializer: keep freed memory in the heap between sub-chunks (glibc only)."""
     try:
         os.confstr("CS_GNU_LIBC_VERSION")
         mallopt = ctypes.CDLL(None).mallopt
@@ -396,14 +440,15 @@ def run_grid(
     """Aggregate every runnable grid point; deterministic result order.
 
     Points whose measurement count falls outside MEAS_RANGE are skipped with
-    a warning.  Each point's trials split into chunks (:func:`trial_chunks`)
-    that run independently, on several worker processes when there is more
-    than one chunk (capped by the QCS_THREADS environment variable), in
-    batches; one worker runs them in this process and leaves its allocator
-    alone.
-    Per-trial results are added up in trial order, so the aggregates are the
-    same for any worker count; the output is sorted by (algorithm, dithered,
-    bit depth, sparsity, bitrate).
+    a warning.  The runnable points are grouped by sparsity, and each
+    group's trials split into blocks (:func:`trial_blocks`), at least one
+    per worker; a task is one :func:`run_block` of one group.  The tasks run
+    on several worker processes (capped by the QCS_THREADS environment
+    variable, and by the number of sub-chunks the points run); one worker
+    runs them in this process and leaves its allocator alone.  Per-trial
+    results are added up in trial order, so the aggregates are the same for
+    any worker count; the output is sorted by (algorithm, dithered, bit
+    depth, sparsity, bitrate).
     """
     runnable = []
     for point in config.grid_points():
@@ -414,16 +459,28 @@ def run_grid(
             logger.warning("skipping grid point (%s): %s", point.describe(), reason)
     runnable.sort(key=sort_key)
 
-    chunked = [(point, trial_chunks(config, point)) for point in runnable]
-    tasks = [(point, chunk) for point, chunks in chunked for chunk in chunks]
-    workers = _resolve_workers(max_workers, len(tasks))
-    results = []
-    batch = -(-len(tasks) // (BATCHES_PER_WORKER * workers))
+    groups = {}  # sparsity -> indices into runnable
+    for i, point in enumerate(runnable):
+        groups.setdefault(point.sparsity, []).append(i)
+    # A worker process is worth starting only for a sub-chunk of work or more.
+    workers = _resolve_workers(max_workers, sum(-(-config.trials // _chunk_rows(p, config.n_bins)) for p in runnable))
+    tasks = [(k, members, trials) for k, members in groups.items() for trials in trial_blocks(config, workers)]
+    outcomes = [[] for _ in runnable]  # per point, block by block in trial order
     with ProcessPoolExecutor(workers, initializer=_keep_heap) if workers > 1 else contextlib.nullcontext() as pool:
-        run = map if pool is None else functools.partial(pool.map, chunksize=batch)
-        outcomes = run(_run_chunk, [config] * len(tasks), *zip(*tasks))
-        for point, chunks in chunked:
-            result = _aggregate(point, itertools.islice(outcomes, len(chunks)))
-            logger.info("%s: mean TPR %.2f%%", point.describe(), result.mean_tpr_pct)
-            results.append(result)
+        blocks = (pool.map if pool else map)(
+            run_block,
+            [[runnable[i] for i in members] for _, members, _ in tasks],
+            [trials for *_, trials in tasks],
+            itertools.repeat(config.master_seed),
+            itertools.repeat(config.n_bins),
+            [config.recovery(k) for k, *_ in tasks],
+        )
+        for (_, members, _), block in zip(tasks, blocks):
+            for i, point_outcomes in zip(members, block):
+                outcomes[i].append(point_outcomes)
+    results = []
+    for point, point_outcomes in zip(runnable, outcomes):
+        result = _aggregate(point, point_outcomes)
+        logger.info("%s: mean TPR %.2f%%", point.describe(), result.mean_tpr_pct)
+        results.append(result)
     return results

@@ -26,6 +26,7 @@ import itertools
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -41,6 +42,7 @@ __all__ = [
     "CAPTURE_MAX_BITS",
     "Capture",
     "check_capture_bit_depth",
+    "check_output_path",
     "parse_config",
     "config_to_json",
     "write_results",
@@ -144,6 +146,24 @@ def _format_result_row(result: AggregateResult) -> str:
             f"{result.mean_l2_error:.9e}",
         ]
     )
+
+
+def check_output_path(path, what: str) -> None:
+    """Reject, before any work, an output path that is a directory or whose directory is missing or read-only.
+
+    The error has the form of the writer's own ``io:`` error, which stays
+    for a directory that goes away in between.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(directory):
+        reason = f"no such directory: {directory!r}"
+    elif not os.access(directory, os.W_OK | os.X_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        reason = "permission denied"
+    else:
+        return
+    raise OSError(f"io: cannot write {what} to {path}: {reason}")
 
 
 def write_results(results, path) -> None:

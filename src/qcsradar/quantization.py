@@ -30,7 +30,6 @@ __all__ = [
     "QuantizerConfig",
     "Dither",
     "check_bit_depth",
-    "quantize_scalar",
     "quantize_complex",
     "dynamic_range_for",
     "adapted_quantizer",
@@ -99,11 +98,6 @@ class Dither:
         return self.values.shape[-1]
 
 
-def quantize_scalar(config: QuantizerConfig, value: float) -> float:
-    """Quantize one real sample: delta*floor(x/delta) + delta/2."""
-    return float(quantize_complex(config, np.float64(value)).real)
-
-
 def quantize_complex(config: QuantizerConfig, values: np.ndarray) -> np.ndarray:
     """Quantize real and imaginary parts of each component independently.
 
@@ -127,21 +121,24 @@ def _quantize_in_place(step, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def dynamic_range_for(measurements: np.ndarray, bit_depth: Optional[int], dithered: bool):
+def dynamic_range_for(measurements: np.ndarray, bit_depth: Optional[int], dithered: bool, peak=None):
     """Smallest dynamic range covering the noiseless measurements.
 
     Undithered: Delta = ||r||_inf (largest modulus).  Dithered: the dither
     adds up to delta/2 = 2**-b * Delta per component, so the smallest Delta
     with Delta >= ||r||_inf + delta/2 is ||r||_inf / (1 - 2**-b).  For the
     unquantized mode the peak itself is returned for bookkeeping.  (T, M)
-    measurements get a (T, 1) column, one range per row.
+    measurements get a (T, 1) column, one range per row.  A caller that
+    already knows ||r||_inf (its (T, 1) column, for a stack) passes it as
+    ``peak``, and the measurements are not read.
     """
     check_bit_depth(bit_depth)
-    r = np.asarray(measurements)
-    if r.ndim == 2:
-        peak = np.max(np.abs(r), axis=1, keepdims=True)
-    else:
-        peak = float(np.max(np.abs(r))) if r.size else 0.0
+    if peak is None:
+        r = np.asarray(measurements)
+        if r.ndim == 2:
+            peak = np.max(np.abs(r), axis=1, keepdims=True)
+        else:
+            peak = float(np.max(np.abs(r))) if r.size else 0.0
     if np.any(peak == 0.0):
         raise ValueError("cannot size a dynamic range for an all-zero signal")
     if bit_depth is None or not dithered:
@@ -149,11 +146,14 @@ def dynamic_range_for(measurements: np.ndarray, bit_depth: Optional[int], dither
     return peak / (1.0 - 2.0 ** (-bit_depth))
 
 
-def adapted_quantizer(measurements: np.ndarray, bit_depth: Optional[int], dithered: bool) -> QuantizerConfig:
-    """Build the quantizer whose range is adapted to ``measurements`` (row by row for (T, M))."""
+def adapted_quantizer(measurements: np.ndarray, bit_depth: Optional[int], dithered: bool, peak=None) -> QuantizerConfig:
+    """Build the quantizer whose range is adapted to ``measurements`` (row by row for (T, M)).
+
+    ``peak``, when given, is their known ||r||_inf (see :func:`dynamic_range_for`).
+    """
     return QuantizerConfig(
         bit_depth=bit_depth,
-        dynamic_range=dynamic_range_for(measurements, bit_depth, dithered),
+        dynamic_range=dynamic_range_for(measurements, bit_depth, dithered, peak),
     )
 
 

@@ -237,15 +237,25 @@ def _ramp_view(plan: SamplingPlan, values: np.ndarray) -> np.ndarray:
     return values[..., : ramps * n].reshape(values.shape[:-1] + (ramps, n))
 
 
-def forward(plan: SamplingPlan, profile: ProfileLike, out: Optional[np.ndarray] = None) -> np.ndarray:
+def forward(
+    plan: SamplingPlan,
+    profile: Optional[ProfileLike] = None,
+    out: Optional[np.ndarray] = None,
+    *,
+    spectrum: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Apply the partial-Fourier sensing operator.
 
     Returns the M-vector r with r[j] = sum_n a[n] exp(-i 2 pi omega[j] n / N),
     ordered as ``plan.omega``.  Computed as one size-N FFT per row, copied
     to every whole ramp and gathered for the remaining columns, so repeated
-    frequencies cost O(1) each.  The result is written to ``out`` when given.
+    frequencies cost O(1) each.  A caller that already holds the FFT of the
+    profile (row by row) passes it as ``spectrum`` instead of the profile,
+    and no FFT is taken.  The result is written to ``out`` when given.
     """
-    spectrum = np.fft.fft(_as_amplitudes(profile, plan))
+    if (profile is None) == (spectrum is None):
+        raise ValueError("forward takes either a profile or its spectrum")
+    spectrum = np.fft.fft(_as_amplitudes(profile, plan)) if spectrum is None else _as_amplitudes(spectrum, plan)
     out = _output(out, plan.omega.shape)
     _ramp_view(plan, out)[...] = spectrum[..., None, :]
     # mode="clip" gathers unbuffered; the plan's indices are already checked.

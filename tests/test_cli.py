@@ -262,6 +262,43 @@ class TestFileErrors:
         assert stderr.startswith(f"error: io: cannot write report to {report}: ")
 
 
+    @staticmethod
+    def _no_call(name):
+        def spy(*args, **kwargs):
+            raise AssertionError(f"{name} ran")
+
+        return spy
+
+    @pytest.mark.parametrize("target", ["missing/r.csv", "."])
+    def test_results_path_rejected_before_any_trial(self, tmp_path, capsys, monkeypatch, target):
+        monkeypatch.setattr(cli, "run_grid", self._no_call("the grid"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 400, "bitrates": [8192]}))
+        out = tmp_path / target
+        result = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        self._one_line(*result, "io")
+        assert result[2].startswith(f"error: io: cannot write results to {out}: ")
+
+    def test_report_path_rejected_before_recovery(self, tmp_path, capsys, monkeypatch):
+        out = self._capture(tmp_path, capsys)
+        monkeypatch.setattr(cli, "read_capture", self._no_call("reading the capture"))
+        monkeypatch.setattr(cli, "qiht", self._no_call("recovery"))
+        report = tmp_path / "missing" / "r.json"
+        result = run_cli(capsys, "recover", "--capture", str(out), "--sparsity", "2", "--out", str(report))
+        self._one_line(*result, "io")
+        assert result[2].startswith(f"error: io: cannot write report to {report}: ")
+
+    def test_results_path_lost_after_the_check_still_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+        # The directory can go away between the check and the write.
+        monkeypatch.setattr(cli, "check_output_path", lambda path, what: None)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 2, "bitrates": [64]}))
+        out = tmp_path / "missing" / "r.csv"
+        result = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        self._one_line(*result, "io")
+        assert result[2].startswith(f"error: io: cannot write results to {out}: ")
+
+
 class TestParserReuse:
     def test_back_to_back_calls_do_not_leak_options(self, tmp_path, capsys):
         # The parser is built once per process; each call starts from the defaults.

@@ -1,29 +1,32 @@
 """The batched trial engine: a stack of T trials must equal T single-trial runs.
 
 Kernels are checked against the loop oracles in ``brute.py``; the batched
-QIHT loop and the chunked grid runner are checked row for row, and bit for
-bit, against the single-trial path.
+QIHT loop, the trial blocks and the grid runner are checked row for row,
+and bit for bit, against the single-trial path.
 """
 
-import itertools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
 from qcsradar import evaluation
 from qcsradar.evaluation import (
+    CHUNK_ELEMENTS,
     ExperimentConfig,
     GridPoint,
     TrialOutcomes,
     _aggregate,
+    run_block,
     run_grid,
     run_trial,
     run_trials,
-    trial_chunks,
+    trial_blocks,
     trial_seeds,
 )
 from qcsradar.quantization import Dither, QuantizerConfig, adapted_quantizer, draw_dither, quantize_complex, sense
@@ -58,6 +61,30 @@ class TestBatchedKernels:
             np.testing.assert_allclose(adj[i], brute.adjoint_loop(row_plan.omega, y[i], n), atol=1e-10)
             assert np.array_equal(fwd[i], forward(row_plan, a[i]))
             assert np.array_equal(adj[i], adjoint(row_plan, y[i]))
+
+    def test_forward_from_the_spectrum_equals_forward_from_the_profile(self):
+        rng = np.random.default_rng(7)
+        n = 12
+        a = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+        for m in (7, 24, 30):  # below a ramp, two ramps, and a remainder
+            plan = SamplingPlan(n, m, np.stack([make_sampling_plan(n, m, seed).omega for seed in range(5)]), None)
+            assert forward(plan, spectrum=np.fft.fft(a)).tobytes() == forward(plan, a).tobytes()
+        with pytest.raises(ValueError):
+            forward(plan)
+        with pytest.raises(ValueError):
+            forward(plan, a, spectrum=np.fft.fft(a))
+        with pytest.raises(ValueError):
+            forward(plan, spectrum=np.fft.fft(a)[:, :-1])
+
+    def test_a_known_peak_sizes_the_range_as_the_measurements_would(self):
+        rng = np.random.default_rng(8)
+        r = rng.normal(size=(4, 30)) + 1j * rng.normal(size=(4, 30))
+        peak = np.max(np.abs(r), axis=1, keepdims=True)
+        for bit_depth, dithered in [(1, True), (3, False), (None, False)]:
+            want = adapted_quantizer(r, bit_depth, dithered).dynamic_range
+            assert np.array_equal(adapted_quantizer(None, bit_depth, dithered, peak=peak).dynamic_range, want)
+        with pytest.raises(ValueError):
+            adapted_quantizer(None, 1, True, peak=np.zeros((4, 1)))
 
     def test_quantization_uses_each_rows_step(self):
         rng = np.random.default_rng(4)
@@ -122,7 +149,14 @@ class TestBatchedQiht:
         want = [-np.linalg.norm(a - b) for a, b in zip(y, y_hat)]
         assert np.array_equal(_scores(y, y_hat, quantized=False), want)
 
-    @pytest.mark.parametrize("point", [GridPoint(4, None, 32 * 24, False, "qiht"), GridPoint(3, 1, 40, True, "pbp")])
+    @pytest.mark.parametrize(
+        "point",
+        [
+            GridPoint(4, None, 32 * 24, False, "qiht"),
+            GridPoint(3, 1, 40, True, "pbp"),
+            GridPoint(3, 2, 40, True, "qiht"),  # M = 20, below one ramp
+        ],
+    )
     def test_trial_records_match_one_trial_at_a_time(self, point):
         # Includes l2_error, which must be the 1-D norm of each row.
         outcomes = run_trials(point, range(20), master_seed=3, n_bins=32)
@@ -146,41 +180,114 @@ class TestBatchedQiht:
                 assert getattr(single, field).tobytes() == getattr(outcomes, field)[i : i + 1].tobytes()
 
 
+class RecordingPool(ProcessPoolExecutor):
+    """A pool that records the points and trials of every block it is given."""
+
+    tasks = []
+
+    def map(self, fn, points, trials, *rest, **kwargs):
+        points, trials = list(points), list(trials)
+        RecordingPool.tasks.append(list(zip(points, trials)))
+        return super().map(fn, points, trials, *rest, **kwargs)
+
+
+# At N = 32 and sparsity 3: below one ramp (M = 20), two ramps and a
+# remainder (76), two whole ramps (64), and sub-chunks of 8 rows (4096).
+BLOCK_POINTS = (
+    GridPoint(3, 1, 20, True, "pbp"),
+    GridPoint(3, 2, 2 * 76, False, "qiht"),
+    GridPoint(3, None, 32 * 64, False, "qiht"),
+    GridPoint(3, 1, 4096, True, "pbp"),
+)
+
+
 class TestChunkedGrid:
-    def test_chunks_cover_trials_within_the_budget(self):
-        config = ExperimentConfig(n_bins=64, bitrates=(8192,), trials=10)
-        chunks = trial_chunks(config, config.grid_points()[0])
-        assert [t for c in chunks for t in c] == list(range(10))
-        assert len(chunks) > 1 and max(len(c) for c in chunks) * 8192 <= 2**15
+    def test_chunks_cover_trials_within_the_budget(self, monkeypatch):
+        config = ExperimentConfig(n_bins=64, bitrates=(2048, 8192), trials=1100)
+        for workers in (1, 2, 3):
+            blocks = trial_blocks(config, workers)
+            assert [t for b in blocks for t in b] == list(range(1100))
+            assert len(blocks) >= workers and max(len(b) for b in blocks) * 64 <= CHUNK_ELEMENTS
+            assert max(len(b) for b in blocks) - min(len(b) for b in blocks) <= 1
+        assert len(trial_blocks(ExperimentConfig(trials=3), 8)) == 3
+        rows = []
+        run_rows = evaluation._run_rows
+
+        def recording_run_rows(point, truth, *args):
+            rows.append((point, len(truth)))
+            return run_rows(point, truth, *args)
+
+        monkeypatch.setattr(evaluation, "_run_rows", recording_run_rows)
+        block = range(100, 121)
+        run_block(config.grid_points(), block, 0, 64, config.recovery(2))
+        for point in config.grid_points():
+            sizes = [n for p, n in rows if p == point]
+            assert sum(sizes) == len(block) and len(sizes) > 1
+            assert max(sizes) * point.n_meas <= CHUNK_ELEMENTS
 
     def test_single_point_split_into_tasks_is_worker_independent(self):
         config = ExperimentConfig(
             n_bins=64, sparsities=(4,), bitrates=(4096,), algorithm="qiht", trials=20, master_seed=8
         )
-        assert len(trial_chunks(config, config.grid_points()[0])) > 1
+        assert len(trial_blocks(config, 2)) > 1
         serial, parallel = run_grid(config, max_workers=1), run_grid(config, max_workers=2)
         assert [vars(r) for r in serial] == [vars(r) for r in parallel]
 
-    def test_batches_across_points_are_worker_independent(self, monkeypatch):
-        # 4 + 7 + 14 chunks: at 2 and 3 workers the pool takes batches of 2,
-        # one of them holds the last chunk of a point and the first of the next,
-        # and the last batch is short.
-        config = ExperimentConfig(n_bins=64, bitrates=(2048, 4096, 8192), trials=53, master_seed=5)
-        ends = list(itertools.accumulate(len(trial_chunks(config, p)) for p in config.grid_points()))
-        batches = []
-
-        class RecordingPool(ProcessPoolExecutor):
-            def map(self, fn, *iterables, chunksize=1):
-                batches.append(chunksize)
-                return super().map(fn, *iterables, chunksize=chunksize)
-
+    def test_blocks_across_points_are_worker_independent(self, monkeypatch):
+        # 53 trials split unevenly at 2 and 3 workers; every block spans all
+        # the points of its sparsity, and each sparsity gets its own blocks.
+        config = ExperimentConfig(
+            n_bins=64, sparsities=(2, 3), bitrates=(2048, 4096, 8192), trials=53, master_seed=5
+        )
         monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        RecordingPool.tasks.clear()
         serial = [vars(r) for r in run_grid(config, max_workers=1)]
         for workers in (2, 3):
             assert [vars(r) for r in run_grid(config, max_workers=workers)] == serial
-            batch = batches.pop()
-            assert batch > 1 and ends[-1] % batch != 0
-            assert any(end % batch for end in ends[:-1])
+            tasks = RecordingPool.tasks.pop()
+            for k in config.sparsities:
+                blocks = [trials for points, trials in tasks if points[0].sparsity == k]
+                assert len(blocks) == workers and len({len(b) for b in blocks}) == 2
+                assert [t for b in blocks for t in b] == list(range(53))
+            for points, _ in tasks:
+                assert points == [p for p in config.grid_points() if p.sparsity == points[0].sparsity]
+
+    def test_a_grid_of_one_sub_chunk_runs_in_this_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", no_pool)
+        config = ExperimentConfig(sparsities=(10,), bitrates=(512,), algorithm="qiht", trials=2)
+        assert run_grid(config, max_workers=2)[0].trials == 2
+
+    def test_profiles_are_drawn_once_per_sparsity_and_block(self, monkeypatch):
+        calls = []
+        draw = evaluation.random_profile
+
+        def counting_draw(n_bins, sparsity, seeds):
+            calls.append((sparsity, len(seeds)))
+            return draw(n_bins, sparsity, seeds)
+
+        monkeypatch.setattr(evaluation, "random_profile", counting_draw)
+        config = ExperimentConfig(sparsities=(2, 10), bitrates=(64, 512, 8192), trials=300)
+        run_grid(config, max_workers=1)
+        # 300 trials at N=256 make 3 blocks (at most 128 trials each) per sparsity.
+        assert calls == [(2, 100)] * 3 + [(10, 100)] * 3
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(trials=st.integers(1, 20), data=st.data())
+    def test_any_split_into_blocks_equals_run_trials(self, trials, data):
+        cuts = sorted(data.draw(st.sets(st.integers(1, trials - 1), max_size=4)) if trials > 1 else [])
+        bounds = [0, *cuts, trials]
+        options = dict(n_bins=32, max_iters=15)
+        recovery = evaluation.RecoveryConfig(3, max_iters=15)
+        blocks = [run_block(BLOCK_POINTS, range(lo, hi), 4, 32, recovery) for lo, hi in zip(bounds, bounds[1:])]
+        for i, point in enumerate(BLOCK_POINTS):
+            want = run_trials(point, range(trials), 4, **options)
+            for field in TrialOutcomes._fields:
+                got = np.concatenate([getattr(block[i], field) for block in blocks])
+                assert got.dtype == getattr(want, field).dtype
+                assert got.tobytes() == getattr(want, field).tobytes()
 
     def test_aggregate_adds_one_trial_at_a_time(self):
         # np.sum adds pairwise and the builtin sum compensates (Python 3.12+);

@@ -12,9 +12,14 @@ plus a partial one, unquantized QIHT below one ramp and with a remainder,
 and undithered 2-bit PBP on whole ramps.  Every point spans several work
 units.
 
+``sweep_blocks.csv`` pins both sparsities at N=256 across bit depths and
+the whole bit-rate range, the points one trial block shares its profiles
+across, with a trial count that splits unevenly into blocks and sub-chunks.
+
 ``sweep.csv`` was written by the one-trial-at-a-time engine that the
 batched engine replaced; ``sweep_n256.csv`` by the engine before QIHT ran
-in per-chunk buffers.  Regenerate them
+in per-chunk buffers; ``sweep_blocks.csv`` by the (point, chunk) engine
+before trial blocks replaced it.  Regenerate them
 (``PYTHONPATH=src python tests/test_golden.py``) only for a change that is
 meant to alter results, and say so in CHANGES.md.
 """
@@ -62,7 +67,25 @@ def golden_configs_n256():
     return [ExperimentConfig(**_N256, **point) for point in _N256_POINTS]
 
 
-SWEEPS = {"sweep.csv": golden_configs, "sweep_n256.csv": golden_configs_n256}
+# Every sparsity's points at N=256, as one trial block runs them: dithered
+# 1- and 2-bit PBP over the whole bit-rate range (2-bit B=8 gives M=4 and is
+# skipped) and QIHT on one to eight whole ramps.  37 trials split unevenly
+# into blocks and into the sub-chunks of the large-M points.
+_BLOCKS = dict(n_bins=256, sparsities=(2, 10), bit_depths=(1, 2), dithered=True, trials=37, master_seed=13)
+
+
+def golden_configs_blocks():
+    return [
+        ExperimentConfig(algorithm="pbp", bitrates=tuple(2**j for j in range(3, 14)), **_BLOCKS),
+        ExperimentConfig(algorithm="qiht", bitrates=(2**9, 2**10, 2**11), **_BLOCKS),
+    ]
+
+
+SWEEPS = {
+    "sweep.csv": golden_configs,
+    "sweep_n256.csv": golden_configs_n256,
+    "sweep_blocks.csv": golden_configs_blocks,
+}
 
 
 def write_sweep(path, max_workers, configs=golden_configs):
@@ -86,6 +109,11 @@ def test_sweep_matches_golden_csv(tmp_path, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_n256_sweep_matches_golden_csv(tmp_path, workers):
     _check(tmp_path, "sweep_n256.csv", workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_block_sweep_matches_golden_csv(tmp_path, workers):
+    _check(tmp_path, "sweep_blocks.csv", workers)
 
 
 if __name__ == "__main__":

@@ -11,31 +11,32 @@ from qcsradar.quantization import (
     draw_dither,
     dynamic_range_for,
     quantize_complex,
-    quantize_scalar,
     sense,
 )
 from qcsradar.signal_model import RangeProfile, forward, make_sampling_plan
 
 
 class TestScalarQuantizer:
+    # One real sample is a 0-d input to quantize_complex; its real part is the sample's cell.
     def test_two_bit_examples(self):
         cfg = QuantizerConfig(bit_depth=2, dynamic_range=1.0)
         assert cfg.step == 0.5
-        assert quantize_scalar(cfg, 0.0) == 0.25
-        assert quantize_scalar(cfg, 0.3) == 0.25
-        assert quantize_scalar(cfg, -0.3) == -0.25
+        assert quantize_complex(cfg, 0.0).real == 0.25
+        assert quantize_complex(cfg, 0.3).real == 0.25
+        assert quantize_complex(cfg, -0.3).real == -0.25
+        assert quantize_complex(cfg, np.float64(0.3)).shape == ()
 
     def test_one_bit_comparator(self):
         cfg = QuantizerConfig(bit_depth=1, dynamic_range=1.0)
-        assert quantize_scalar(cfg, 0.7) == 0.5
-        assert 2 * quantize_scalar(cfg, 0.7) / cfg.dynamic_range == 1.0
+        assert quantize_complex(cfg, 0.7).real == 0.5
+        assert 2 * quantize_complex(cfg, [0.7]).real[0] / cfg.dynamic_range == 1.0
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(0)
         for b in (1, 2, 3, 5, 8):
             cfg = QuantizerConfig(bit_depth=b, dynamic_range=1.7)
             for lam in rng.uniform(-3.0, 3.0, size=200):
-                assert quantize_scalar(cfg, lam) == brute.midrise_scalar(lam, cfg.step)
+                assert quantize_complex(cfg, lam).real == brute.midrise_scalar(lam, cfg.step)
 
     def test_sign_identity_inside_range(self):
         # 2 Q1(x) / Delta == sign(x) on (-Delta, Delta) \ {0}; the formula
@@ -72,7 +73,7 @@ class TestScalarQuantizer:
         with pytest.raises(ValueError):
             _ = cfg.step
         with pytest.raises(ValueError):
-            quantize_scalar(cfg, 0.2)
+            quantize_complex(cfg, 0.2)
 
 
 class TestComplexQuantizer:
