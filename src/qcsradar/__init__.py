@@ -22,7 +22,6 @@ from .evaluation import (
     TrialOutcomes,
     run_grid,
     run_trial,
-    tpr,
 )
 from .io import Capture, config_to_json, parse_config, read_capture, write_capture, write_results
 from .quantization import (

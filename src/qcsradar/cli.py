@@ -29,7 +29,7 @@ from .io import (
     write_capture,
     write_results,
 )
-from .quantization import adapted_quantizer, check_bit_depth, draw_dither, sense
+from .quantization import _acquire, adapted_quantizer, check_bit_depth, decode_bit_depth, draw_dither, encode_bit_depth
 from .recovery import RecoveryConfig, consistency, pbp, qiht
 from .seeding import derive_seed
 from .signal_model import (
@@ -73,10 +73,10 @@ def positive_int(text: str) -> int:
 
 def _bit_depth(text: str):
     """A bit depth from its text: an integer in [1, 32], or None for "unquantized"."""
-    if text == "unquantized":
-        return None
     try:
-        value = int(text)
+        with contextlib.suppress(ValueError):
+            text = int(text)
+        value = decode_bit_depth(text)
         check_bit_depth(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
@@ -153,6 +153,16 @@ def _emit(payload: dict, out_path) -> None:
             raise OSError(f"io: cannot write report to {out_path}: {exc}") from None
 
 
+def _scene(profile) -> dict:
+    """A profile's support, as 0-based indices and 1-based bins, and its [re, im] amplitudes there."""
+    indices = sorted(profile.support)
+    return {
+        "support_indices": indices,
+        "support_bins": [bin_number(i, profile.n_bins) for i in indices],
+        "amplitudes": [[float(a.real), float(a.imag)] for a in profile.amplitudes[indices]],
+    }
+
+
 def _cmd_simulate(args) -> int:
     config = parse_config(args.config)
     overrides = {}
@@ -220,18 +230,12 @@ def _cmd_recover(args) -> int:
         stop_reason = result.stop_reason.value
         final_consistency = result.final_consistency
 
-    indices = sorted(estimate.support)
-    bins = [bin_number(i, plan.n_bins) for i in indices]
-    amplitudes = [
-        [float(estimate.amplitudes[i].real), float(estimate.amplitudes[i].imag)] for i in indices
-    ]
+    scene = _scene(estimate)
     report = {
+        **scene,
         "algorithm": args.algo,
         "sparsity": args.sparsity,
-        "support_indices": indices,
-        "support_bins": bins,
-        "ranges_m": [bin_to_range(capture.radar, b) for b in bins],
-        "amplitudes": amplitudes,
+        "ranges_m": [bin_to_range(capture.radar, b) for b in scene["support_bins"]],
         "iterations": iterations,
         "final_consistency": final_consistency,
         "stop_reason": stop_reason,
@@ -256,24 +260,20 @@ def _cmd_gen_capture(args) -> int:
         if dithered
         else None
     )
-    samples = sense(plan, quantizer, dither, profile)
+    # What sense would compute, without taking forward a second time.
+    samples = _acquire(quantizer, dither, raw)
     capture = Capture(plan=plan, quantizer=quantizer, dither=dither, samples=samples, radar=radar)
     sidecar = write_capture(args.out, capture, store_dither_values=args.store_dither_values)
 
-    indices = sorted(profile.support)
     report = {
+        **_scene(profile),
         "capture": str(args.out),
         "sidecar": sidecar,
         "n_bins": args.n,
         "n_meas": args.meas,
-        "bit_depth": "unquantized" if args.bits is None else args.bits,
+        "bit_depth": encode_bit_depth(args.bits),
         "dithered": dithered,
         "seed": args.seed,
-        "support_indices": indices,
-        "support_bins": [bin_number(i, args.n) for i in indices],
-        "amplitudes": [
-            [float(profile.amplitudes[i].real), float(profile.amplitudes[i].imag)] for i in indices
-        ],
     }
     print(json.dumps(report, sort_keys=True))
     return 0

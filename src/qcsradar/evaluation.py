@@ -24,13 +24,9 @@ not depend on which other trials share its block or sub-chunk.  A point's
 result is one :class:`TrialOutcomes` of (T,) arrays: hits, l2 error and
 iterations, in trial order.  :func:`run_trials` is the block of one point.
 
-:func:`run_grid` makes one task per block, and at least one block per
-worker for each sparsity; a block holds at most CHUNK_ELEMENTS profile
-values.  Every block of a sparsity carries the same points, so the blocks
-balance across workers by construction.  Pool workers keep freed memory in
-their heap (:func:`_keep_heap`), so each sub-chunk reuses the pages of the
-one before.  The outcomes come back in task order and are added up in trial
-order, so the aggregates do not depend on the worker count.
+:func:`run_grid` runs the blocks on a worker pool.  Every block of a
+sparsity carries the same points, so the blocks balance across workers by
+construction, and the aggregates do not depend on the worker count.
 
 Configs have one validation boundary: :class:`GridPoint` checks the rules
 of one point (algorithm, sparsity, bit depth, integer M),
@@ -52,7 +48,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .quantization import UNQUANTIZED_BITS, _acquire, adapted_quantizer, check_bit_depth, draw_dither
+from .quantization import UNQUANTIZED_BITS, _acquire, adapted_quantizer, check_bit_depth, draw_dither, encode_bit_depth
 from .recovery import RecoveryConfig, pbp, qiht_batch
 from .seeding import SeedStack, derive_seeds
 from .signal_model import forward, make_sampling_plan, random_profile
@@ -64,7 +60,6 @@ __all__ = [
     "ExperimentConfig",
     "TrialOutcomes",
     "AggregateResult",
-    "tpr",
     "trial_seeds",
     "run_trial",
     "run_trials",
@@ -129,7 +124,7 @@ class GridPoint:
 
     @property
     def depth_label(self) -> str:
-        return "unquantized" if self.bit_depth is None else str(self.bit_depth)
+        return str(encode_bit_depth(self.bit_depth))
 
     @property
     def effective_dithered(self) -> bool:
@@ -211,16 +206,6 @@ class AggregateResult:
     mean_tpr_pct: float
     stderr_pct: float
     mean_l2_error: float
-
-
-def tpr(true_support, estimated_support, sparsity: int) -> float:
-    """True positive rate |supp_est & supp_true| / K."""
-    true_support = frozenset(true_support)
-    if not true_support:
-        raise ValueError("true support must be nonempty")
-    if len(true_support) != sparsity:
-        raise ValueError(f"true support size {len(true_support)} != sparsity {sparsity}")
-    return len(true_support & frozenset(estimated_support)) / sparsity
 
 
 def trial_seeds(point: GridPoint, trial_indices, master_seed: int, n_bins: int = 256) -> tuple:

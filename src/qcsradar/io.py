@@ -8,11 +8,9 @@ parameters).  Quantized payloads are snapped back onto the exact float64
 quantization grid on read, so consistency checks against re-quantized
 estimates remain exact after the float32 round trip.
 
-The sidecar is encoded by one ``json.dumps`` call (the C encoder) and
-written in one call; explicit dither values go in and out of it as
-interleaved float64 arrays viewed as complex128, with no per-element Python
-loop, so every bit of each value, the sign of a zero included, survives the
-round trip.
+The sidecar is encoded by one ``json.dumps`` call and written in one call;
+explicit dither values survive its round trip bit for bit, signed zeros
+included (:func:`_dither_values`).
 
 :func:`parse_config` checks a config file's JSON shape and types only; the
 values are checked where the evaluation types are built, which is the one
@@ -34,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .evaluation import AggregateResult, ExperimentConfig, sort_key
-from .quantization import Dither, QuantizerConfig, draw_dither
+from .quantization import Dither, QuantizerConfig, decode_bit_depth, draw_dither, encode_bit_depth
 from .signal_model import RadarParams, SamplingPlan, make_sampling_plan
 
 __all__ = [
@@ -63,9 +61,6 @@ _GRID_SNAP_TOL = 1e-3
 # one for its half step and one to keep the rounding (at most 2**(b-25)
 # steps) within a quarter step, so every part snaps back to its own cell.
 CAPTURE_MAX_BITS = 22
-
-# The JSON spellings of an unquantized bit depth.
-_UNQUANTIZED = (None, "unquantized")
 
 RESULTS_HEADER = (
     "K,b,log2_bitrate,M,dithered,algorithm,trials,mean_tpr_pct,stderr_pct,mean_l2_error"
@@ -101,9 +96,12 @@ def parse_config(path) -> ExperimentConfig:
     fields = dict(raw)
     if "bit_depths" in fields:
         depths = fields["bit_depths"]
-        if not isinstance(depths, list) or not all(_is_int(b) or b in _UNQUANTIZED for b in depths):
-            raise _config_error(f'bit_depths entries must be integers or "unquantized", got {depths!r}')
-        fields["bit_depths"] = tuple(None if b in _UNQUANTIZED else b for b in depths)
+        if not isinstance(depths, list):
+            raise _config_error(f"bit_depths must be a list, got {depths!r}")
+        try:
+            fields["bit_depths"] = tuple(map(decode_bit_depth, depths))
+        except ValueError as exc:
+            raise _config_error(f"bit_depths entries: {exc}") from None
     for key in ("sparsities", "bitrates"):
         if key in fields and not (isinstance(fields[key], list) and all(map(_is_int, fields[key]))):
             raise _config_error(f"{key} must be a list of integers")
@@ -126,7 +124,7 @@ def parse_config(path) -> ExperimentConfig:
 def config_to_json(config: ExperimentConfig) -> dict:
     """Dump a configuration to its JSON form (round-trips through parse)."""
     fields = {key: list(v) if isinstance(v, tuple) else v for key, v in dataclasses.asdict(config).items()}
-    fields["bit_depths"] = ["unquantized" if b is None else b for b in config.bit_depths]
+    fields["bit_depths"] = list(map(encode_bit_depth, config.bit_depths))
     return fields
 
 
@@ -234,7 +232,7 @@ def write_capture(path, capture: Capture, *, store_dither_values: bool = False) 
         "n_meas": plan.n_meas,
         "plan_seed": plan.seed,
         "omega": plan.omega.tolist(),
-        "bit_depth": "unquantized" if capture.quantizer.bit_depth is None else capture.quantizer.bit_depth,
+        "bit_depth": encode_bit_depth(capture.quantizer.bit_depth),
         "dynamic_range": capture.quantizer.dynamic_range,
         "dither": dither_field,
         "radar": {
@@ -262,12 +260,15 @@ def _capture_error(message: str) -> ValueError:
 
 def _snap_to_grid(samples: np.ndarray, step: float, path) -> np.ndarray:
     half = 0.5 * step
-    re_cells = (samples.real - half) / step
-    im_cells = (samples.imag - half) / step
-    deviation = max(
-        float(np.max(np.abs(cells - np.round(cells)) - np.abs(part) * 2.0**-24 / step))
-        for part, cells in ((samples.real, re_cells), (samples.imag, im_cells))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, as one error
+        re_cells = (samples.real - half) / step
+        im_cells = (samples.imag - half) / step
+        deviation = max(
+            float(np.max(np.abs(cells - np.round(cells)) - np.abs(part) * 2.0**-24 / step))
+            for part, cells in ((samples.real, re_cells), (samples.imag, im_cells))
+        )
+    if not math.isfinite(deviation):  # finite samples, so their cell indices overflowed
+        raise _capture_error(f"samples overflow the quantization grid of step {step!r}")
     if deviation > _GRID_SNAP_TOL:
         logger.warning(
             "capture %s: samples are off the quantization grid "
@@ -346,10 +347,12 @@ def read_capture(path) -> Capture:
         raise _capture_error(f"unknown schema version {version!r}")
     n_bins = _field(sidecar, "n_bins", int)
     n_meas = _field(sidecar, "n_meas", int)
-    if "bit_depth" in sidecar and sidecar["bit_depth"] in _UNQUANTIZED:
-        bit_depth = None
-    else:
-        bit_depth = _field(sidecar, "bit_depth", int)
+    if "bit_depth" not in sidecar:
+        raise _capture_error("sidecar is missing field 'bit_depth'")
+    try:
+        bit_depth = decode_bit_depth(sidecar["bit_depth"])
+    except ValueError as exc:
+        raise _capture_error(f"sidecar field 'bit_depth': {exc}") from None
     dynamic_range = _field(sidecar, "dynamic_range", float)
     radar_raw = sidecar.get("radar")
     if not isinstance(radar_raw, dict):

@@ -30,6 +30,8 @@ __all__ = [
     "QuantizerConfig",
     "Dither",
     "check_bit_depth",
+    "decode_bit_depth",
+    "encode_bit_depth",
     "quantize_complex",
     "dynamic_range_for",
     "adapted_quantizer",
@@ -45,6 +47,20 @@ def check_bit_depth(bit_depth: Optional[int]) -> None:
     """Reject a bit depth outside [1, 32]; None (unquantized) passes."""
     if bit_depth is not None and not 1 <= bit_depth <= 32:
         raise ValueError(f"bit depth must be in [1, 32] or unquantized, got {bit_depth!r}")
+
+
+def decode_bit_depth(value) -> Optional[int]:
+    """A bit depth from its spelling, an integer or None/"unquantized"; the range is :func:`check_bit_depth`'s."""
+    if value is None or value == "unquantized":
+        return None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f'bit depth must be an integer or "unquantized", got {value!r}')
+
+
+def encode_bit_depth(bit_depth: Optional[int]):
+    """The spelling of a bit depth in configs, sidecars and reports: the integer, or "unquantized"."""
+    return "unquantized" if bit_depth is None else bit_depth
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,10 @@ most the configured budget, stopping early once the consistency with the
 observed bits reaches the target or strictly decreases.
 
 Both estimators take a leading trial axis: (T, M) measurements through a
-stacked plan, quantizer and dither are T independent trials, and each row
-follows exactly the iteration and stop rule of a single trial
-(:func:`qiht_batch`).  The batch runs in working arrays allocated once per
-call: every iteration writes into them through the ``out=`` arguments of
-the operators, and a row that stops gives its place to a running row from
-the end, so later iterations only pay for the rows still running.
+stacked plan, quantizer and dither are T independent trials, each row
+following exactly the iteration and stop rule of a single trial
+(:func:`qiht_batch`, which runs in working arrays allocated once per call);
 :func:`pbp` and :func:`qiht` are the single-trial case.
-:func:`hard_threshold` finds each row's K-th largest modulus by partition
-rather than sorting all N bins, and keeps exactly the bins a stable sort
-would.
 """
 
 from __future__ import annotations

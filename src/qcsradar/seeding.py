@@ -6,20 +6,21 @@ purpose tag and the parameters that identify the random object, so any
 single draw (one profile, one sampling plan, one dither) can be
 regenerated in isolation.
 
-A stacked draw takes T seeds as a :class:`SeedStack` and gives each row the
-stream of its own seed, so row i is the draw of seed i.  Building
-``Philox(seed)`` hashes the seed through a ``SeedSequence`` for every row;
-a stack instead derives the Philox keys of all its rows in one vectorized
-pass (:func:`philox_keys`, numpy's ``SeedSequence(s).generate_state(2,
-uint64)`` as array operations) and re-keys a single Philox per draw call
-through its ``state`` setter.  The streams are the same bits; a one-seed
-draw keeps ``Philox(seed)``.  :func:`derive_seeds` derives the seeds of
-many trials, hashing their shared prefix once.
+A draw takes its T seeds (T = 1 for one seed) as a :class:`SeedStack`, which
+gives row i the stream of seed i; every seed is an integer in [0, 2**64).
+Building ``Philox(seed)`` hashes the seed through a ``SeedSequence`` for
+every row; a long stack instead derives the Philox keys of all its rows in
+one vectorized pass (:func:`philox_keys`, numpy's ``SeedSequence(s).
+generate_state(2, uint64)`` as array operations) and re-keys a single
+Philox per draw call through its ``state`` setter, giving the same bits.
+:func:`derive_seeds` derives the seeds of many trials, hashing their shared
+prefix once.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -58,10 +59,19 @@ def derive_seeds(master_seed: int, parts: tuple, last) -> list:
 
 
 def generator(seed) -> np.random.Generator:
-    """Return a counter-based generator for ``seed``; pass through Generators."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.Philox(int(seed)))
+    """The counter-based generator of one seed, as a one-row :class:`SeedStack` draws it."""
+    return next(SeedStack([seed]).generators())
+
+
+def _seed_array(seeds) -> np.ndarray:
+    """The seeds as a 1-D uint64 array; a seed that is not an integer in [0, 2**64) raises ValueError."""
+    # operator.index refuses what a numpy cast would truncate (floats) or wrap (negative numpy ints).
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return seeds.ravel()
+    try:
+        return np.array([operator.index(s) for s in seeds], dtype=np.uint64)
+    except (TypeError, OverflowError):
+        raise ValueError("draw seeds must be integers in [0, 2**64)") from None
 
 
 # numpy's SeedSequence constants (pool of four 32-bit words, 16-bit xorshift).
@@ -111,10 +121,7 @@ def philox_keys(seeds) -> np.ndarray:
     the pool pads missing words with hashmix(0), so both are the low and
     high words of the uint64 seed.  Seeds must be integers in [0, 2**64).
     """
-    try:
-        s = np.array(seeds, dtype=np.uint64).ravel()
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError("stacked seeds must be integers in [0, 2**64)") from None
+    s = _seed_array(seeds)
     pool = np.zeros((4, s.size), dtype=np.uint32)
     pool[0] = s  # the low word (the cast keeps it)
     pool[1] = s >> _WORD
@@ -136,7 +143,7 @@ _KEYED_ROWS = 8
 
 
 class SeedStack:
-    """The T seeds of one stacked draw, row i drawing from seed i.
+    """The T seeds of one draw, row i drawing from seed i; building it checks the seeds.
 
     A stack of at least _KEYED_ROWS rows derives the Philox keys of all of
     them in one :func:`philox_keys` pass, the first time it draws or is
@@ -148,8 +155,8 @@ class SeedStack:
     __slots__ = ("seeds", "_keys")
 
     def __init__(self, seeds, keys=None):
-        self.seeds = list(seeds)
-        if not self.seeds:
+        self.seeds = _seed_array(seeds)
+        if not self.seeds.size:
             raise ValueError("a stacked draw needs at least one seed")
         self._keys = keys
 
@@ -162,23 +169,20 @@ class SeedStack:
     def _keyed(self) -> bool:
         """Whether the rows draw through keys, deriving them once for a long enough stack."""
         if self._keys is None and len(self.seeds) >= _KEYED_ROWS:
-            try:
-                self._keys = philox_keys(self.seeds)
-            except ValueError:  # a seed outside [0, 2**64): Philox(seed) takes it, or rejects it
-                self._keys = False
-        return isinstance(self._keys, np.ndarray)
+            self._keys = philox_keys(self.seeds)
+        return self._keys is not None
 
     def generators(self):
-        """One Generator per row, in row order; row i draws exactly as ``generator(seeds[i])``.
+        """One Generator per row, in row order; row i draws from ``Philox(seeds[i])``'s stream.
 
         A keyed stack builds one Philox for this call and re-keys it for each
         row, so a yielded Generator is only valid until the next one is
         taken; two calls never share a Philox.  A short stack (one seed,
-        say), or one holding a seed outside [0, 2**64), builds each row's
-        generator from its seed.
+        say) builds ``Philox(seed)`` for each row.
         """
         if not self._keyed():
-            yield from map(generator, self.seeds)
+            for seed in self.seeds.tolist():
+                yield np.random.Generator(np.random.Philox(seed))
             return
         bit_generator = np.random.Philox(key=self._keys[:, 0])
         rng = np.random.Generator(bit_generator)
@@ -190,7 +194,7 @@ class SeedStack:
 
 
 def seed_rows(seeds) -> tuple:
-    """``(stack, True)`` for a SeedStack or a sequence of T seeds; ``(one-row stack, False)`` for one seed or Generator."""
+    """``(stack, True)`` for a SeedStack or a sequence of T seeds; ``(one-row stack, False)`` for one seed."""
     if isinstance(seeds, SeedStack):
         return seeds, True
     if np.ndim(seeds) == 0:

@@ -13,13 +13,10 @@ draws stack the same way: :func:`random_profile` and
 :func:`make_sampling_plan` given a sequence of T seeds return (T, N)
 amplitudes and a (T, M) plan whose row i is the single-seed draw of seed i.
 
-A plan works out once how many leading whole ramps it holds: column blocks
-equal to 0..N-1 in every row.  On those columns :func:`forward` broadcasts
-each row's spectrum and :func:`adjoint` adds the ramps one at a time; only
-the remaining columns (all of them below one ramp, or for a plan a capture
-supplied) go through an index gather and an in-order scatter-add.  Both
-operators and :func:`~qcsradar.quantization.sense` take ``out=`` arrays,
-so an iterative caller can run in buffers it allocated once.
+A plan works out once how many leading whole ramps (column blocks equal to
+0..N-1 in every row) it holds, which :func:`forward` and :func:`adjoint`
+copy and add whole; both take ``out=`` arrays, as does
+:func:`~qcsradar.quantization.sense`.
 """
 
 from __future__ import annotations
@@ -294,9 +291,9 @@ def random_profile(n_bins: int, sparsity: int, rng):
 
     The support is uniform over all C(N, K) index subsets; each nonzero is
     C * exp(i psi) with C ~ U[0, 1] and psi ~ U[0, 2 pi), and the result is
-    rescaled so the largest modulus is exactly 1.  ``rng`` is a seed or a
-    numpy Generator, giving a RangeProfile, or a sequence of T seeds, giving
-    read-only (T, N) amplitudes whose row i is the profile of seed i.
+    rescaled so the largest modulus is exactly 1.  ``rng`` is a seed, giving
+    a RangeProfile, or a sequence of T seeds, giving read-only (T, N)
+    amplitudes whose row i is the profile of seed i.
     """
     if not 1 <= sparsity <= n_bins:
         raise ValueError(f"sparsity must be in [1, {n_bins}], got {sparsity}")

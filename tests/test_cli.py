@@ -74,6 +74,9 @@ class TestGenCapture:
             ["--f0", "nan"],
             ["--bits", "23"],  # finer than a float32 payload holds
             ["--bits", "32"],
+            ["--bits", "true"],
+            ["--bits", "1.0"],
+            ["--bits", '"1"'],
         ],
     )
     def test_bad_arguments_rejected_before_writing(self, tmp_path, capsys, argv):
@@ -138,6 +141,13 @@ class TestRecover:
             lambda side, payload: (dict(side, radar={k: v for k, v in side["radar"].items() if k != "bandwidth"}), payload),
             lambda side, payload: (dict(side, bit_depth="x"), payload),
             lambda side, payload: (dict(side, bit_depth=1.5), payload),
+            lambda side, payload: (dict(side, bit_depth=True), payload),
+            lambda side, payload: (dict(side, bit_depth=1.0), payload),
+            lambda side, payload: (dict(side, bit_depth="1"), payload),
+            # Draw seeds must be integers in [0, 2**64): the dither's, and a plan_seed that regenerates omega.
+            lambda side, payload: (dict(side, dither=dict(side["dither"], seed=2**64 + 7)), payload),
+            lambda side, payload: (dict(side, dither=dict(side["dither"], seed=-1)), payload),
+            lambda side, payload: ({k: v for k, v in side.items() if k != "omega"} | {"plan_seed": 2**64 + 7}, payload),
             lambda side, payload: (dict(side, radar=dict(side["radar"], n_bins=128)), payload),
             lambda side, payload: (side, np.concatenate([[complex(np.nan, 0.0)], payload[1:]])),
             lambda side, payload: (side, np.concatenate([payload[:-1], [complex(0.0, np.inf)]])),
@@ -197,6 +207,19 @@ class TestRecover:
         assert stderr.startswith("error: capture:")
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would print more lines
+    @pytest.mark.parametrize("algo", ["pbp", "qiht"])
+    def test_range_too_small_for_the_samples_rejected_on_read(self, tmp_path, capsys, algo):
+        # The samples' cell indices overflow, so snapping them would give non-finite samples.
+        out = tmp_path / "cap.iq"
+        run_cli(capsys, "gen-capture", "--out", str(out), "--n", "64", "--meas", "256", "--seed", "3")
+        sidecar = json.loads((tmp_path / "cap.iq.json").read_text())
+        del sidecar["dither"]["delta"]
+        (tmp_path / "cap.iq.json").write_text(json.dumps(dict(sidecar, dynamic_range=1e-320)))
+        code, stdout, stderr = run_cli(capsys, "recover", "--capture", str(out), "--algo", algo, "--sparsity", "2")
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: capture:") and stderr.count("\n") == 1
+
     @pytest.mark.parametrize("bits", [23, 26])
     def test_grid_finer_than_float32_rejected_on_read(self, tmp_path, capsys, monkeypatch, bits):
         # From b = 25 a float32 payload snaps into wrong cells without a warning.
@@ -212,6 +235,32 @@ class TestRecover:
         code, stdout, stderr = run_cli(capsys, "recover", "--capture", str(out), "--sparsity", "2")
         assert code == 1 and stdout == ""
         assert stderr.startswith(f"error: capture: bit depth {bits} is finer") and stderr.count("\n") == 1
+
+
+class TestBitDepthSpellings:
+    """argv, config files and capture sidecars accept the same unquantized spellings.
+
+    The spellings all three reject (true, 1.0, "1") are inputs of the
+    malformed argv, sidecar and config tests.
+    """
+
+    @pytest.mark.parametrize("spelling", [None, "unquantized"])
+    def test_unquantized_spellings_accepted(self, tmp_path, capsys, spelling):
+        out = tmp_path / "cap.iq"
+        code, stdout, _ = run_cli(
+            capsys, "gen-capture", "--out", str(out), "--n", "64", "--meas", "256", "--bits", "unquantized",
+            "--no-dithered", "--seed", "4",
+        )
+        assert code == 0 and json.loads(stdout)["bit_depth"] == "unquantized"
+        sidecar = json.loads((tmp_path / "cap.iq.json").read_text())
+        assert sidecar["bit_depth"] == "unquantized"
+        (tmp_path / "cap.iq.json").write_text(json.dumps(dict(sidecar, bit_depth=spelling)))
+        code, stdout, _ = run_cli(capsys, "recover", "--capture", str(out), "--algo", "pbp", "--sparsity", "2")
+        assert code == 0 and json.loads(stdout)["final_consistency"] is None
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n_bins": 64, "bit_depths": [spelling], "bitrates": [512], "trials": 3}))
+        code, _, _ = run_cli(capsys, "simulate", "--config", str(config), "--out", str(tmp_path / "r.csv"))
+        assert code == 0 and (tmp_path / "r.csv").read_text().splitlines()[1].split(",")[1] == "unquantized"
 
 
 class TestFileErrors:

@@ -12,27 +12,9 @@ from qcsradar.evaluation import (
     run_grid,
     run_trial,
     run_trials,
-    tpr,
     trial_seeds,
     _resolve_workers,
 )
-
-
-class TestTPR:
-    def test_half_overlap(self):
-        assert tpr({3, 9}, {3, 7}, 2) == 0.5
-
-    def test_identical(self):
-        assert tpr({1, 2, 3}, {3, 2, 1}, 3) == 1.0
-
-    def test_disjoint(self):
-        assert tpr({1, 2}, {3, 4}, 2) == 0.0
-
-    def test_validates_true_support(self):
-        with pytest.raises(ValueError):
-            tpr(set(), {1}, 0)
-        with pytest.raises(ValueError):
-            tpr({1, 2}, {1}, 3)
 
 
 class TestGridPoint:

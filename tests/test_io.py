@@ -79,6 +79,10 @@ class TestParseConfig:
             ('{"sparsities": [2.5]}', "sparsities must be a list of integers"),
             ('{"trials": "many"}', "trials must be an integer"),
             ('{"bit_depths": [1.5]}', "bit_depths entries"),
+            ('{"bit_depths": [true]}', "bit_depths entries"),
+            ('{"bit_depths": [1.0]}', "bit_depths entries"),
+            ('{"bit_depths": ["1"]}', "bit_depths entries"),
+            ('{"bit_depths": {"unquantized": 1}}', "bit_depths must be a list"),
             ('{"mu": "fast"}', "mu must be a number"),
             ('{"max_iters": true}', "max_iters must be an integer"),
         ],

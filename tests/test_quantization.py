@@ -8,12 +8,32 @@ from qcsradar.quantization import (
     Dither,
     QuantizerConfig,
     adapted_quantizer,
+    decode_bit_depth,
     draw_dither,
     dynamic_range_for,
+    encode_bit_depth,
     quantize_complex,
     sense,
 )
 from qcsradar.signal_model import RangeProfile, forward, make_sampling_plan
+
+
+class TestBitDepthCodec:
+    @pytest.mark.parametrize("spelling, bit_depth", [(None, None), ("unquantized", None), (1, 1), (22, 22), (99, 99)])
+    def test_decode(self, spelling, bit_depth):
+        # Spelling and type only: the range is check_bit_depth's.
+        assert decode_bit_depth(spelling) == bit_depth
+
+    @pytest.mark.parametrize("spelling", [True, False, 1.0, "1", "None", "", [1], np.float64(2.0)])
+    def test_decode_rejects(self, spelling):
+        with pytest.raises(ValueError, match="must be an integer or"):
+            decode_bit_depth(spelling)
+
+    @pytest.mark.parametrize("bit_depth", [None, 1, 3, 32])
+    def test_encode_round_trips(self, bit_depth):
+        spelling = encode_bit_depth(bit_depth)
+        assert spelling == ("unquantized" if bit_depth is None else bit_depth)
+        assert decode_bit_depth(spelling) == bit_depth
 
 
 class TestScalarQuantizer:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from qcsradar import seeding
 from qcsradar.seeding import SeedStack, derive_seed, derive_seeds, generator, philox_keys
+from qcsradar.signal_model import make_sampling_plan, random_profile
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
@@ -96,16 +97,22 @@ class TestSeedStack:
 
     def test_short_stacks_and_single_seeds_build_philox_from_the_seed(self, monkeypatch):
         monkeypatch.setattr(seeding, "philox_keys", lambda seeds: pytest.fail("keyed a short stack"))
-        assert [g.random() for g in SeedStack([3, 4]).generators()] == [generator(3).random(), generator(4).random()]
-        g = np.random.Generator(np.random.Philox(9))
-        assert next(SeedStack([g]).generators()) is g
+        want = [np.random.Generator(np.random.Philox(s)).random() for s in (3, 4)]
+        assert [g.random() for g in SeedStack([3, 4]).generators()] == want
+        assert generator(3).random() == want[0]
 
-    def test_stack_with_a_seed_beyond_uint64_builds_philox_from_each_seed(self):
-        seeds = list(range(10)) + [2**64 + 7]
-        rows = [g.random(3) for g in SeedStack(seeds).generators()]
-        assert all(np.array_equal(row, generator(s).random(3)) for row, s in zip(rows, seeds))
-        with pytest.raises(ValueError):  # as Philox(-1) rejects it
-            list(SeedStack(list(range(10)) + [-1]).generators())
+    @pytest.mark.parametrize("rows", [1, 7, 8, 20])
+    @pytest.mark.parametrize("bad", [2**64 + 7, 2**64, -1, np.int64(-1), 1.5, "3", None])
+    def test_stack_rejects_a_seed_outside_uint64_at_any_length(self, rows, bad):
+        # The same rule on both sides of the keyed-stack threshold, before any draw.
+        with pytest.raises(ValueError, match=r"integers in \[0, 2\*\*64\)"):
+            SeedStack(list(range(rows - 1)) + [bad])
+
+    @pytest.mark.parametrize("bad", [2**64 + 7, -1, np.random.Generator(np.random.Philox(9))])
+    def test_one_seed_draws_and_generator_take_the_same_rule(self, bad):
+        for draw in (generator, lambda s: random_profile(16, 2, s), lambda s: make_sampling_plan(16, 5, s)):
+            with pytest.raises(ValueError, match="integers in"):
+                draw(bad)
 
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError):
