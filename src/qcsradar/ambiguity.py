@@ -85,7 +85,11 @@ def quadrant_margin(plan: SamplingPlan, profile: RangeProfile) -> float:
     of that amplitude could push any measurement across a 1-bit cell
     boundary.
     """
-    r = forward(plan, profile)
+    return _margin(forward(plan, profile))
+
+
+def _margin(r: np.ndarray) -> float:
+    """The quadrant margin of measurements ``r``: min over m of min(|Re r[m]|, |Im r[m]|)."""
     return float(np.min(np.minimum(np.abs(r.real), np.abs(r.imag))))
 
 
@@ -151,8 +155,9 @@ def ambiguity_report(
     undithered_cfg = adapted_quantizer(both, bit_depth, dithered=False)
     dithered_cfg = adapted_quantizer(both, bit_depth, dithered=True)
 
-    margin = quadrant_margin(plan, pair.base)
-    undithered = ambiguity_holds(plan, undithered_cfg, pair, dither=None)
+    # What quadrant_margin and ambiguity_holds compute, without taking forward again.
+    margin = _margin(r_base)
+    undithered = np.array_equal(_acquire(undithered_cfg, None, r_base.copy()), _acquire(undithered_cfg, None, r_alt.copy()))
     # The dithers are drawn as (T, M) stacks, and each scene is sensed
     # through all of a stack's rows at once: row i is Q(forward(scene) +
     # dither i), as sense computes it for that one dither.  The dither and

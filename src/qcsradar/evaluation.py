@@ -28,11 +28,11 @@ iterations, in trial order.  :func:`run_trials` is the block of one point.
 sparsity carries the same points, so the blocks balance across workers by
 construction, and the aggregates do not depend on the worker count.
 
-Configs have one validation boundary: :class:`GridPoint` checks the rules
-of one point (algorithm, sparsity, bit depth, integer M),
-:class:`~qcsradar.recovery.RecoveryConfig` the QIHT settings, and
-:class:`ExperimentConfig` only what neither knows, then builds its points
-and one RecoveryConfig per sparsity.  Nothing else restates these rules.
+Configs have one validation boundary: :class:`ExperimentConfig` checks each
+field's type uncoerced (an integer is a Python int, not a bool or a numpy
+integer), :class:`GridPoint` one point's rules (algorithm, sparsity, bit
+depth, integer M), :class:`~qcsradar.recovery.RecoveryConfig` the QIHT
+settings, and ExperimentConfig the values neither knows; nothing restates them.
 """
 
 from __future__ import annotations
@@ -48,7 +48,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .quantization import UNQUANTIZED_BITS, _acquire, adapted_quantizer, check_bit_depth, draw_dither, encode_bit_depth
+from .quantization import (
+    UNQUANTIZED_BITS, _acquire, _is_int, adapted_quantizer, check_bit_depth, decode_bit_depth, draw_dither, encode_bit_depth,
+)
 from .recovery import RecoveryConfig, pbp, qiht_batch
 from .seeding import SeedStack, derive_seeds
 from .signal_model import forward, make_sampling_plan, random_profile
@@ -156,11 +158,28 @@ class ExperimentConfig:
     max_iters: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "sparsities", tuple(int(k) for k in self.sparsities))
-        object.__setattr__(
-            self, "bit_depths", tuple(None if b is None else int(b) for b in self.bit_depths)
-        )
-        object.__setattr__(self, "bitrates", tuple(int(b) for b in self.bitrates))
+        # The types first, as a config file spells them (a tuple passes for a list).
+        if not isinstance(self.bit_depths, (list, tuple)):
+            raise ValueError(f"bit_depths must be a list, got {self.bit_depths!r}")
+        try:
+            object.__setattr__(self, "bit_depths", tuple(map(decode_bit_depth, self.bit_depths)))
+        except ValueError as exc:
+            raise ValueError(f"bit_depths entries: {exc}") from None
+        for key in ("sparsities", "bitrates"):
+            values = getattr(self, key)
+            if not (isinstance(values, (list, tuple)) and all(map(_is_int, values))):
+                raise ValueError(f"{key} must be a list of integers")
+            object.__setattr__(self, key, tuple(values))
+        for key in ("n_bins", "trials", "master_seed"):
+            if not _is_int(getattr(self, key)):
+                raise ValueError(f"{key} must be an integer")
+        for key in ("mu", "consistency_target"):
+            if not (_is_int(getattr(self, key)) or isinstance(getattr(self, key), float)):
+                raise ValueError(f"{key} must be a number")
+        if self.max_iters is not None and not _is_int(self.max_iters):
+            raise ValueError("max_iters must be an integer or null")
+        if not isinstance(self.dithered, bool):
+            raise ValueError(f"dithered must be a boolean, got {self.dithered!r}")
         if self.n_bins < 1:
             raise ValueError("n_bins must be >= 1")
         if self.trials < 1:

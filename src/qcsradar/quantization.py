@@ -49,11 +49,15 @@ def check_bit_depth(bit_depth: Optional[int]) -> None:
         raise ValueError(f"bit depth must be in [1, 32] or unquantized, got {bit_depth!r}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def decode_bit_depth(value) -> Optional[int]:
     """A bit depth from its spelling, an integer or None/"unquantized"; the range is :func:`check_bit_depth`'s."""
     if value is None or value == "unquantized":
         return None
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return value
     raise ValueError(f'bit depth must be an integer or "unquantized", got {value!r}')
 
@@ -123,18 +127,7 @@ def quantize_complex(config: QuantizerConfig, values: np.ndarray) -> np.ndarray:
     """
     if not config.quantized:
         raise ValueError("cannot quantize with an unquantized configuration")
-    return _quantize_in_place(config.step, np.array(values, dtype=np.complex128))
-
-
-def _quantize_in_place(step, out: np.ndarray) -> np.ndarray:
-    """Overwrite the complex128 array ``out`` with its quantized values and return it."""
-    # A (T, 1) column of steps broadcasts over the 2M parts of each row.
-    parts = np.atleast_1d(out).view(np.float64)
-    np.divide(parts, step, out=parts)
-    np.floor(parts, out=parts)
-    parts *= step
-    parts += 0.5 * step
-    return out
+    return _acquire(config, None, np.array(values, dtype=np.complex128))
 
 
 def dynamic_range_for(measurements: np.ndarray, bit_depth: Optional[int], dithered: bool, peak=None):
@@ -235,4 +228,11 @@ def _acquire(config: QuantizerConfig, dither: Optional[Dither], measurements: np
         if dither.n_meas != measurements.shape[-1]:
             raise ValueError(f"dither length {dither.n_meas} does not match n_meas={measurements.shape[-1]}")
         measurements += dither.values
-    return _quantize_in_place(config.step, measurements)
+    # A (T, 1) column of steps broadcasts over the 2M parts of each row.
+    step = config.step
+    parts = np.atleast_1d(measurements).view(np.float64)
+    np.divide(parts, step, out=parts)
+    np.floor(parts, out=parts)
+    parts *= step
+    parts += 0.5 * step
+    return measurements

@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .seeding import seed_rows
+from .seeding import _seed_array, seed_rows
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -152,6 +152,8 @@ class SamplingPlan:
             raise ValueError("omega must hold exactly n_meas indices")
         if omega.size and (omega.min() < 0 or omega.max() >= self.n_bins):
             raise ValueError("omega indices must lie in [0, n_bins)")
+        if self.seed is not None:
+            _seed_array([self.seed])  # a draw seed, in [0, 2**64), so a stored plan seed still draws
         object.__setattr__(self, "omega", omega)
         n = self.n_bins
         blocks = omega[..., : omega.shape[-1] // n * n].reshape(omega.shape[:-1] + (-1, n))

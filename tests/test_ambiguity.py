@@ -177,6 +177,18 @@ class TestReport:
         assert report["n_seeds"] == 25
         assert ambiguity_report(**kwargs) == report
 
+    def test_report_takes_forward_once_per_scene(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        for module in ("qcsradar.ambiguity", "qcsradar.quantization"):  # direct, and through sense
+            monkeypatch.setattr(f"{module}.forward", counted)
+        ambiguity_report(256, 64, 10, 0.785, 0.0, 0.5, 1024, 200, 0)
+        assert len(calls) == 2
+
     def test_stacked_dithers_give_the_per_seed_report(self):
         # The report draws its dithers in stacks of at most CHUNK_ELEMENTS
         # values; this per-seed loop is how it drew them one at a time.

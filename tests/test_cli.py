@@ -148,11 +148,15 @@ class TestRecover:
             lambda side, payload: (dict(side, dither=dict(side["dither"], seed=2**64 + 7)), payload),
             lambda side, payload: (dict(side, dither=dict(side["dither"], seed=-1)), payload),
             lambda side, payload: ({k: v for k, v in side.items() if k != "omega"} | {"plan_seed": 2**64 + 7}, payload),
+            lambda side, payload: (dict(side, plan_seed=2**64 + 7), payload),  # stored beside omega
             lambda side, payload: (dict(side, radar=dict(side["radar"], n_bins=128)), payload),
             lambda side, payload: (side, np.concatenate([[complex(np.nan, 0.0)], payload[1:]])),
             lambda side, payload: (side, np.concatenate([payload[:-1], [complex(0.0, np.inf)]])),
+            # A signaling NaN, whose float64 cast warns unless told not to.
+            lambda side, payload: (side, np.concatenate([np.uint32([0x7F800001, 0]).view(np.complex64), payload[1:]])),
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would print a second line
     def test_malformed_capture_rejected_before_recovery(self, tmp_path, capsys, mutate):
         out = tmp_path / "cap.iq"
         run_cli(capsys, "gen-capture", "--out", str(out), "--meas", "512", "--seed", "1")

@@ -13,6 +13,10 @@ no size is drawn that the machine could actually allocate.
 ``simulate`` is fuzzed through its config file instead: one or two fields
 of a small valid config are swapped for values of the wrong JSON type or
 range, and every run must either write a CSV or print one error line.
+``recover`` is also fuzzed through its capture: fields of the sidecar are
+swapped or dropped and the payload bytes overwritten or spliced, and every
+run must either print one report, with no NaN or infinity in it, or one
+error line.
 """
 
 import contextlib
@@ -20,6 +24,8 @@ import io
 import json
 import math
 import re
+import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -83,10 +89,14 @@ def check_contract(command, options, *flags, omit=()):
     argv = [command, *(f"--{name.replace('_', '-')}={value}" for name, value in pairs), *flags]
     code, out, err = run(argv)
     if code == 0:
-        assert out.count("\n") == 1 and isinstance(json.loads(out), dict), argv
+        assert out.count("\n") == 1 and isinstance(json.loads(out, parse_constant=reject_constant), dict), argv
     else:
         assert code == 1 and out == "", argv
         assert ERROR_LINE.fullmatch(err), (argv, err)
+
+
+def reject_constant(name):
+    raise AssertionError(f"the report holds {name}, which is not JSON")
 
 
 @pytest.fixture(scope="module")
@@ -194,5 +204,70 @@ def test_simulate_config(work_dir):
         else:
             assert code == 1 and stdout == "" and not out.exists(), config
             assert ERROR_LINE.fullmatch(err), (config, err)
+
+    check()
+
+
+# Sidecar fields, nested ones dotted; DROP removes a field instead of swapping it.
+SIDECAR_FIELDS = [
+    "schema_version", "n_bins", "n_meas", "plan_seed", "omega", "bit_depth", "dynamic_range", "dither", "radar",
+    "dither.seed", "dither.delta", "dither.values", "radar.f0", "radar.bandwidth", "radar.ramp_duration", "radar.n_bins",
+]
+DROP = object()
+NEAR_VALID = [1, 2, 22, 23, 32, 63, 64, 65, 255, 256, 2**64 - 1, 2**64, 1e-320, 1e300, 0.5, [[0.0, 0.0]]]
+SIDECAR_VALUES = st.one_of(FIELD_VALUES, st.sampled_from(NEAR_VALID + [DROP]))
+# Little-endian float32 parts: NaN, infinities, the largest finite value, the smallest subnormal, -0.
+SPECIAL_PARTS = [struct.pack("<f", v) for v in (math.nan, math.inf, -math.inf, 3.4028235e38, 1e-45, -0.0)]
+PAYLOAD_EDITS = st.tuples(
+    st.sampled_from(["overwrite", "splice"]),
+    st.integers(0, 8 * 256),
+    st.one_of(st.binary(max_size=16), st.sampled_from(SPECIAL_PARTS)),
+)
+
+
+def mutate_sidecar(sidecar: dict, field: str, value) -> None:
+    *parents, key = field.split(".")
+    for parent in parents:
+        sidecar = sidecar.get(parent) if isinstance(sidecar, dict) else None
+    if isinstance(sidecar, dict):
+        if value is DROP:
+            sidecar.pop(key, None)
+        else:
+            sidecar[key] = value
+
+
+def edit_payload(payload: bytes, edit) -> bytes:
+    mode, start, data = edit
+    return payload[:start] + data + payload[start + (len(data) if mode == "overwrite" else 0) :]
+
+
+@pytest.fixture(scope="module")
+def stored_capture(work_dir):
+    path = work_dir / "stored.iq"
+    argv = ["gen-capture", "--out", str(path), "--n", "64", "--meas", "256", "--seed", "6", "--store-dither-values"]
+    assert run(argv)[0] == 0
+    return str(path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would print a second line
+def test_recover_mutated_capture(work_dir, capture, stored_capture):
+    sources = {name: (Path(name).read_bytes(), Path(f"{name}.json").read_text()) for name in (capture, stored_capture)}
+    path = work_dir / "mutated.iq"
+
+    @settings(FUZZ, max_examples=150)
+    @given(
+        source=st.sampled_from(sorted(sources)),
+        fields=st.dictionaries(st.sampled_from(SIDECAR_FIELDS), SIDECAR_VALUES, max_size=2),
+        edit=st.one_of(st.none(), PAYLOAD_EDITS),
+        algo=st.sampled_from(["pbp", "qiht"]),
+    )
+    def check(source, fields, edit, algo):
+        payload, text = sources[source]
+        sidecar = json.loads(text)
+        for field, value in fields.items():
+            mutate_sidecar(sidecar, field, value)
+        path.write_bytes(payload if edit is None else edit_payload(payload, edit))
+        (work_dir / "mutated.iq.json").write_text(json.dumps(sidecar))
+        check_contract("recover", {"capture": path, "sparsity": 2, "algo": algo})
 
     check()

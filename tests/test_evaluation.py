@@ -105,6 +105,27 @@ class TestExperimentConfig:
                 with pytest.raises(ValueError):
                     ExperimentConfig(algorithm=algorithm, **bad)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(bit_depths=(1.5, True)),
+            dict(bit_depths=1),
+            dict(sparsities=(np.int64(2),)),
+            dict(bitrates=range(8, 16)),
+            dict(trials=np.int64(3)),
+            dict(master_seed="7"),
+            dict(dithered="no"),
+            dict(mu=None),
+        ],
+    )
+    def test_rejects_wrong_types_uncoerced(self, fields):
+        with pytest.raises(ValueError, match="must be|bit_depths entries"):
+            ExperimentConfig(**fields)
+
+    def test_lists_are_kept_as_tuples(self):
+        config = ExperimentConfig(sparsities=[2], bit_depths=[1, "unquantized"], bitrates=[64])
+        assert (config.sparsities, config.bit_depths, config.bitrates) == ((2,), (1, None), (64,))
+
     def test_grid_points_cover_product(self):
         config = ExperimentConfig(sparsities=(2, 4), bit_depths=(1,), bitrates=(64, 128), trials=1)
         points = config.grid_points()

@@ -85,13 +85,23 @@ class TestParseConfig:
             ('{"bit_depths": {"unquantized": 1}}', "bit_depths must be a list"),
             ('{"mu": "fast"}', "mu must be a number"),
             ('{"max_iters": true}', "max_iters must be an integer"),
+            ('{"trials": 2.5}', "trials must be an integer"),
+            ('{"n_bins": 256.0}', "n_bins must be an integer"),
+            ('{"master_seed": "7"}', "master_seed must be an integer"),
+            ('{"master_seed": 1.5}', "master_seed must be an integer"),
+            ('{"consistency_target": true}', "consistency_target must be a number"),
+            ('{"max_iters": 2.5}', "max_iters must be an integer or null"),
         ],
     )
     def test_field_type_validation(self, tmp_path, body, fragment):
+        # A config file and a Python caller meet the same check, with the same message.
         path = tmp_path / "cfg.json"
         path.write_text(body)
-        with pytest.raises(ValueError, match=f"config: {fragment}"):
+        with pytest.raises(ValueError, match=f"config: {fragment}") as from_file:
             parse_config(path)
+        with pytest.raises(ValueError, match=fragment) as from_python:
+            ExperimentConfig(**json.loads(body))
+        assert str(from_file.value) == f"config: {from_python.value}"
 
 
 def _aggregate(point, mean, stderr=1.0, l2=0.5, trials=10):
