@@ -150,6 +150,8 @@ class SamplingPlan:
             raise ValueError("n_bins must be >= 1")
         if omega.ndim not in (1, 2) or omega.shape[-1] != self.n_meas:
             raise ValueError("omega must hold exactly n_meas indices")
+        if self.n_meas < 1:  # the rule make_sampling_plan applies
+            raise ValueError("n_meas must be >= 1")
         if omega.size and (omega.min() < 0 or omega.max() >= self.n_bins):
             raise ValueError("omega indices must lie in [0, n_bins)")
         if self.seed is not None:

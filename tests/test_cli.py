@@ -154,6 +154,9 @@ class TestRecover:
             lambda side, payload: (side, np.concatenate([payload[:-1], [complex(0.0, np.inf)]])),
             # A signaling NaN, whose float64 cast warns unless told not to.
             lambda side, payload: (side, np.concatenate([np.uint32([0x7F800001, 0]).view(np.complex64), payload[1:]])),
+            # omega entries are JSON integers, never truncated into another plan.
+            lambda side, payload: (dict(side, omega=[x + 0.5 for x in side["omega"]]), payload),
+            lambda side, payload: (dict(side, omega=[True] * len(side["omega"])), payload),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would print a second line
@@ -223,6 +226,20 @@ class TestRecover:
         code, stdout, stderr = run_cli(capsys, "recover", "--capture", str(out), "--algo", algo, "--sparsity", "2")
         assert code == 1 and stdout == ""
         assert stderr.startswith("error: capture:") and stderr.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would print more lines
+    @pytest.mark.parametrize("algo", ["pbp", "qiht"])
+    @pytest.mark.parametrize("bits", [["--bits", "1"], ["--bits", "unquantized", "--no-dithered"]])
+    def test_zero_measurement_capture_rejected_on_read(self, tmp_path, capsys, bits, algo):
+        # A plan needs n_meas >= 1, however it was made; recovery would reduce over no samples.
+        out = tmp_path / "cap.iq"
+        run_cli(capsys, "gen-capture", "--out", str(out), "--n", "64", "--meas", "256", "--seed", "3", *bits)
+        sidecar = json.loads((tmp_path / "cap.iq.json").read_text())
+        (tmp_path / "cap.iq.json").write_text(json.dumps(dict(sidecar, n_meas=0, omega=[])))
+        out.write_bytes(b"")
+        code, stdout, stderr = run_cli(capsys, "recover", "--capture", str(out), "--algo", algo, "--sparsity", "2")
+        assert code == 1 and stdout == ""
+        assert stderr == "error: capture: n_meas must be >= 1\n"
 
     @pytest.mark.parametrize("bits", [23, 26])
     def test_grid_finer_than_float32_rejected_on_read(self, tmp_path, capsys, monkeypatch, bits):

@@ -14,12 +14,14 @@ no size is drawn that the machine could actually allocate.
 of a small valid config are swapped for values of the wrong JSON type or
 range, and every run must either write a CSV or print one error line.
 ``recover`` is also fuzzed through its capture: fields of the sidecar are
-swapped or dropped and the payload bytes overwritten or spliced, and every
-run must either print one report, with no NaN or infinity in it, or one
-error line.
+swapped or dropped, the measurement count or the ``omega`` entries changed
+consistently across sidecar and payload, and the payload bytes overwritten
+or spliced, and every run must either print one report, with no NaN or
+infinity in it, or one error line.
 """
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -225,6 +227,36 @@ PAYLOAD_EDITS = st.tuples(
 )
 
 
+# Mutations one field swap cannot make: the measurement count changed in n_meas,
+# omega, stored dither values and payload together (0 included), or omega
+# entries (all, or the one at an index) turned into floats or bools.
+RESIZE = st.tuples(st.just("resize"), st.sampled_from([0, 1, 63, 64, 65, 255, 257, 300]))
+OMEGA_ENTRY = {"half": lambda x: x + 0.5, "float": float, "odd": lambda x: x % 2 == 1, "true": lambda x: True}
+OMEGA_EDITS = st.tuples(st.sampled_from(sorted(OMEGA_ENTRY)), st.one_of(st.none(), st.integers(0, 255)))
+COORDINATED = st.one_of(st.none(), RESIZE, OMEGA_EDITS)
+
+
+def coordinate(sidecar: dict, payload: bytes, mutation) -> bytes:
+    """Apply a COORDINATED mutation to a valid sidecar, in place, and return the payload to go with it."""
+    if mutation is None:
+        return payload
+    kind, arg = mutation
+    if kind == "resize":
+
+        def cycled(seq):
+            return [seq[i % len(seq)] for i in range(arg)]
+
+        sidecar["n_meas"] = arg
+        sidecar["omega"] = cycled(sidecar["omega"])
+        if "values" in sidecar["dither"]:
+            sidecar["dither"]["values"] = cycled(sidecar["dither"]["values"])
+        return b"".join(cycled([payload[i : i + 8] for i in range(0, len(payload), 8)]))
+    omega = sidecar["omega"]
+    for i in range(len(omega)) if arg is None else [arg % len(omega)]:
+        omega[i] = OMEGA_ENTRY[kind](omega[i])
+    return payload
+
+
 def mutate_sidecar(sidecar: dict, field: str, value) -> None:
     *parents, key = field.split(".")
     for parent in parents:
@@ -233,7 +265,8 @@ def mutate_sidecar(sidecar: dict, field: str, value) -> None:
         if value is DROP:
             sidecar.pop(key, None)
         else:
-            sidecar[key] = value
+            # A copy: the drawn values are shared between examples, and a swap into one would change them.
+            sidecar[key] = copy.deepcopy(value)
 
 
 def edit_payload(payload: bytes, edit) -> bytes:
@@ -254,16 +287,18 @@ def test_recover_mutated_capture(work_dir, capture, stored_capture):
     sources = {name: (Path(name).read_bytes(), Path(f"{name}.json").read_text()) for name in (capture, stored_capture)}
     path = work_dir / "mutated.iq"
 
-    @settings(FUZZ, max_examples=150)
+    @settings(FUZZ, max_examples=240)
     @given(
         source=st.sampled_from(sorted(sources)),
+        coordinated=COORDINATED,
         fields=st.dictionaries(st.sampled_from(SIDECAR_FIELDS), SIDECAR_VALUES, max_size=2),
         edit=st.one_of(st.none(), PAYLOAD_EDITS),
         algo=st.sampled_from(["pbp", "qiht"]),
     )
-    def check(source, fields, edit, algo):
+    def check(source, coordinated, fields, edit, algo):
         payload, text = sources[source]
         sidecar = json.loads(text)
+        payload = coordinate(sidecar, payload, coordinated)
         for field, value in fields.items():
             mutate_sidecar(sidecar, field, value)
         path.write_bytes(payload if edit is None else edit_payload(payload, edit))

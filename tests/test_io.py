@@ -1,10 +1,14 @@
 """Tests for config parsing, results CSV, and capture files."""
 
+import dataclasses
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcsradar.evaluation import AggregateResult, ExperimentConfig, GridPoint
 from qcsradar.io import (
@@ -16,9 +20,9 @@ from qcsradar.io import (
     write_capture,
     write_results,
 )
-from qcsradar.quantization import adapted_quantizer, draw_dither, sense
+from qcsradar.quantization import Dither, QuantizerConfig, adapted_quantizer, draw_dither, sense
 from qcsradar.seeding import derive_seed
-from qcsradar.signal_model import RadarParams, forward, make_sampling_plan, random_profile
+from qcsradar.signal_model import RadarParams, SamplingPlan, forward, make_sampling_plan, random_profile
 
 RADAR = RadarParams(f0=24.125e9, bandwidth=150e6, ramp_duration=1e-3, n_bins=32)
 
@@ -218,6 +222,17 @@ class TestCaptureRoundTrip:
         with pytest.raises(ValueError, match="capture: dither delta"):
             read_capture(path)
 
+    @pytest.mark.parametrize("store_values", [False, True])
+    def test_dither_on_unquantized_sidecar_rejected(self, tmp_path, store_values):
+        # A seed is not drawn without a grid: Capture's message, not the draw's, is reported.
+        capture, _ = _make_capture(seed=16)
+        path = tmp_path / "c.iq"
+        write_capture(path, capture, store_dither_values=store_values)
+        sidecar = json.loads((tmp_path / "c.iq.json").read_text())
+        (tmp_path / "c.iq.json").write_text(json.dumps(dict(sidecar, bit_depth="unquantized")))
+        with pytest.raises(ValueError, match="^capture: unquantized capture cannot carry a dither$"):
+            read_capture(path)
+
     def test_off_grid_samples_warn_but_load(self, tmp_path, caplog):
         capture, _ = _make_capture(seed=8)
         path = tmp_path / "c.iq"
@@ -242,9 +257,9 @@ class TestCaptureRoundTrip:
         assert back.samples.tobytes() == capture.samples.tobytes()
 
     def test_grids_finer_than_float32_rejected_at_write(self, tmp_path):
-        capture, _ = _make_capture(seed=12, bit_depth=CAPTURE_MAX_BITS + 1)
-        with pytest.raises(ValueError, match=f"capture: bit depth {CAPTURE_MAX_BITS + 1} is finer"):
-            write_capture(tmp_path / "c.iq", capture)
+        # Capture checks the bit depth when it is built, so no such capture reaches the writer.
+        with pytest.raises(ValueError, match=f"bit depth {CAPTURE_MAX_BITS + 1} is finer"):
+            _make_capture(seed=12, bit_depth=CAPTURE_MAX_BITS + 1)
         assert not (tmp_path / "c.iq").exists()
 
     def test_plan_seed_only_sidecar(self, tmp_path):
@@ -257,14 +272,86 @@ class TestCaptureRoundTrip:
         back = read_capture(path)
         np.testing.assert_array_equal(back.plan.omega, capture.plan.omega)
 
+    def test_omega_only_sidecar_keeps_no_plan_seed(self, tmp_path):
+        # No seed draws the stored omega, so none is made up on read or written back.
+        capture, _ = _make_capture(seed=14, m=45)
+        path = tmp_path / "c.iq"
+        write_capture(path, capture)
+        sidecar = json.loads((tmp_path / "c.iq.json").read_text())
+        del sidecar["plan_seed"]
+        text = json.dumps(sidecar, sort_keys=True) + "\n"
+        (tmp_path / "c.iq.json").write_text(text)
+        back = read_capture(path)
+        assert back.plan.seed is None
+        np.testing.assert_array_equal(back.plan.omega, capture.plan.omega)
+        write_capture(tmp_path / "again.iq", back)
+        assert (tmp_path / "again.iq.json").read_text() == text
+
     def test_sample_count_validated_at_write(self, tmp_path):
+        # Capture checks the sample count when it is built, so no such capture reaches the writer.
         capture, _ = _make_capture(seed=10)
-        bad = Capture(
-            plan=capture.plan,
-            quantizer=capture.quantizer,
-            dither=capture.dither,
-            samples=capture.samples[:-1],
-            radar=capture.radar,
-        )
-        with pytest.raises(ValueError, match="capture: sample count"):
-            write_capture(tmp_path / "c.iq", bad)
+        with pytest.raises(ValueError, match="sample count"):
+            Capture(
+                plan=capture.plan,
+                quantizer=capture.quantizer,
+                dither=capture.dither,
+                samples=capture.samples[:-1],
+                radar=capture.radar,
+            )
+
+
+def test_round_trip_property(tmp_path):
+    """write -> read gives the capture back, and writing what was read gives the same bytes."""
+    first, second = tmp_path / "first.iq", tmp_path / "second.iq"
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        bit_depth=st.sampled_from([1, 2, 3, CAPTURE_MAX_BITS, None]),
+        dithered=st.booleans(),
+        store_values=st.booleans(),
+        seeded_plan=st.booleans(),
+        m=st.sampled_from([20, 32, 45]),  # below, at and above one ramp of N=32
+        seed=st.integers(0, 1000),
+    )
+    def check(bit_depth, dithered, store_values, seeded_plan, m, seed):
+        capture, _ = _make_capture(seed=seed, bit_depth=bit_depth, dithered=dithered, m=m)
+        if not seeded_plan:
+            plan = capture.plan
+            capture = dataclasses.replace(capture, plan=SamplingPlan(plan.n_bins, plan.n_meas, plan.omega, None))
+        write_capture(first, capture, store_dither_values=store_values)
+        back = read_capture(first)
+        np.testing.assert_array_equal(back.plan.omega, capture.plan.omega)
+        assert back.plan.seed == capture.plan.seed
+        assert back.quantizer == capture.quantizer
+        if capture.dither is None:
+            assert back.dither is None
+        else:
+            assert back.dither.values.tobytes() == capture.dither.values.tobytes()
+            assert back.dither.seed == (None if store_values else capture.dither.seed)
+        stored = capture.samples if bit_depth is not None else capture.samples.astype(np.complex64)
+        assert back.samples.tobytes() == stored.astype(np.complex128).tobytes()
+        assert back.radar == capture.radar
+        write_capture(second, back, store_dither_values=store_values)
+        for suffix in ("", ".json"):
+            assert Path(f"{first}{suffix}").read_bytes() == Path(f"{second}{suffix}").read_bytes()
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "fields, fragment",
+    [
+        (lambda c: {"samples": np.concatenate([[complex(np.nan, 0.0)], c.samples[1:]])}, "non-finite samples"),
+        (lambda c: {"radar": dataclasses.replace(c.radar, n_bins=64)}, "radar n_bins=64 differs"),
+        (lambda c: {"dither": Dither(c.dither.values[:-1], seed=None)}, "dither must hold 64 finite values"),
+        (lambda c: {"quantizer": QuantizerConfig(None, c.quantizer.dynamic_range)}, "unquantized capture cannot carry"),
+        (lambda c: {"samples": c.samples[:-1]}, "sample count"),
+        (lambda c: {"quantizer": QuantizerConfig(CAPTURE_MAX_BITS + 1, c.quantizer.dynamic_range)}, "bit depth 23"),
+        (lambda c: {"plan": SamplingPlan(32, 64, np.stack([c.plan.omega] * 2), None)}, "one sampling plan"),
+    ],
+    ids=["nan-sample", "radar-bins", "short-dither", "unquantized-dither", "sample-count", "b23", "stacked-plan"],
+)
+def test_invalid_capture_rejected_at_construction(fields, fragment):
+    capture, _ = _make_capture(seed=15)
+    with pytest.raises(ValueError, match=fragment):
+        dataclasses.replace(capture, **fields(capture))

@@ -62,6 +62,8 @@ class TestSamplingPlan:
             SamplingPlan(n_bins=4, n_meas=2, omega=np.array([0, 4]), seed=0)
         with pytest.raises(ValueError):
             SamplingPlan(n_bins=4, n_meas=3, omega=np.array([0, 1]), seed=0)
+        with pytest.raises(ValueError, match="n_meas must be >= 1"):  # as make_sampling_plan requires
+            SamplingPlan(n_bins=4, n_meas=0, omega=np.array([], dtype=np.int64), seed=None)
 
 
 class TestForwardAdjoint:
