@@ -24,9 +24,10 @@ not depend on which other trials share its block or sub-chunk.  A point's
 result is one :class:`TrialOutcomes` of (T,) arrays: hits, l2 error and
 iterations, in trial order.  :func:`run_trials` is the block of one point.
 
-:func:`run_grid` runs the blocks on a worker pool.  Every block of a
-sparsity carries the same points, so the blocks balance across workers by
-construction, and the aggregates do not depend on the worker count.
+:func:`run_grid` runs the blocks on the worker pool this process keeps
+(:func:`_worker_pool`).  Every block of a sparsity carries the same points,
+so the blocks balance across workers by construction, and the aggregates
+do not depend on the worker count.
 
 Configs have one validation boundary: :class:`ExperimentConfig` checks each
 field's type uncoerced (an integer is a Python int, not a bool or a numpy
@@ -37,12 +38,14 @@ settings, and ExperimentConfig the values neither knows; nothing restates them.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import itertools
 import logging
 import os
+import threading
+import weakref
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import util as mp_util
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -91,6 +94,11 @@ CHUNK_ELEMENTS = 2**15
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _WORKER_MMAP_THRESHOLD = 2 * 16 * CHUNK_ELEMENTS
 _WORKER_TRIM_THRESHOLD = 16 * 2**20
+
+# This process's worker pool, as (owner pid, workers, executor), or None.  A
+# process forked from the owner inherits the tuple but not the pool's threads.
+_pool = None
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -437,6 +445,46 @@ def _keep_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
 
 
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of ``workers`` workers: the one it keeps, or a new one.
+
+    The caller holds ``_pool_lock``.  A pool of another size, or one that a
+    dead worker has broken, is shut down once the work already submitted to
+    it is done; concurrent.futures joins the workers of the last one at exit.
+    """
+    global _pool
+    if _pool is not None:
+        owner, size, pool = _pool
+        if owner == os.getpid() and size == workers and not pool._broken:
+            return pool
+        _drop_pool(pool, cancel_futures=False)
+    pool = ProcessPoolExecutor(workers, initializer=_keep_heap)
+    _pool = (os.getpid(), workers, pool)
+    # A process that multiprocessing started joins its children as it ends,
+    # before the interpreter exit that would stop the pool's workers; stop
+    # them first, while the pool's queues (exit priority 10) still feed them.
+    mp_util.Finalize(pool, _stop_at_exit, args=(weakref.ref(pool),), exitpriority=20)
+    return pool
+
+
+def _stop_at_exit(pool_ref) -> None:
+    pool = pool_ref()
+    if pool is not None:
+        _drop_pool(pool, cancel_futures=True)
+
+
+def _drop_pool(pool: ProcessPoolExecutor, cancel_futures: bool) -> None:
+    """Forget ``pool`` if this process keeps it, and shut it down if this process also started it.
+
+    The caller holds ``_pool_lock``, except at exit.
+    """
+    global _pool
+    if _pool is not None and _pool[2] is pool:
+        owner, _pool = _pool[0], None
+        if owner == os.getpid():
+            pool.shutdown(wait=True, cancel_futures=cancel_futures)
+
+
 def run_grid(
     config: ExperimentConfig,
     max_workers: Optional[int] = None,
@@ -449,7 +497,11 @@ def run_grid(
     per worker; a task is one :func:`run_block` of one group.  The tasks run
     on several worker processes (capped by the QCS_THREADS environment
     variable, and by the number of sub-chunks the points run); one worker
-    runs them in this process and leaves its allocator alone.  Per-trial
+    runs them in this process and leaves its allocator alone.  Several run
+    them on the pool this process keeps: it starts with the first parallel
+    sweep, is rebuilt when the worker count changes or after a sweep on it
+    failed, and ends when the process exits.  Its workers are forked, so
+    they see module state as it was when the pool started.  Per-trial
     results are added up in trial order, so the aggregates are the same for
     any worker count; the output is sorted by (algorithm, dithered, bit
     depth, sparsity, bitrate).
@@ -470,18 +522,31 @@ def run_grid(
     workers = _resolve_workers(max_workers, sum(-(-config.trials // _chunk_rows(p, config.n_bins)) for p in runnable))
     tasks = [(k, members, trials) for k, members in groups.items() for trials in trial_blocks(config, workers)]
     outcomes = [[] for _ in runnable]  # per point, block by block in trial order
-    with ProcessPoolExecutor(workers, initializer=_keep_heap) if workers > 1 else contextlib.nullcontext() as pool:
-        blocks = (pool.map if pool else map)(
-            run_block,
-            [[runnable[i] for i in members] for _, members, _ in tasks],
-            [trials for *_, trials in tasks],
-            itertools.repeat(config.master_seed),
-            itertools.repeat(config.n_bins),
-            [config.recovery(k) for k, *_ in tasks],
-        )
+    args = (
+        run_block,
+        [[runnable[i] for i in members] for _, members, _ in tasks],
+        [trials for *_, trials in tasks],
+        itertools.repeat(config.master_seed),
+        itertools.repeat(config.n_bins),
+        [config.recovery(k) for k, *_ in tasks],
+    )
+    pool = None
+    try:
+        if workers > 1:
+            # Submitting under the lock keeps another thread from rebuilding the pool in between.
+            with _pool_lock:
+                pool = _worker_pool(workers)
+                blocks = pool.map(*args)
+        else:
+            blocks = map(*args)
         for (_, members, _), block in zip(tasks, blocks):
             for i, point_outcomes in zip(members, block):
                 outcomes[i].append(point_outcomes)
+    except BaseException:
+        if pool is not None:
+            with _pool_lock:
+                _drop_pool(pool, cancel_futures=True)
+        raise
     results = []
     for point, point_outcomes in zip(runnable, outcomes):
         result = _aggregate(point, point_outcomes)

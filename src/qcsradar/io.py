@@ -36,7 +36,7 @@ import numpy as np
 
 from .evaluation import AggregateResult, ExperimentConfig, sort_key
 from .quantization import Dither, QuantizerConfig, decode_bit_depth, draw_dither, encode_bit_depth
-from .signal_model import RadarParams, SamplingPlan, make_sampling_plan
+from .signal_model import RadarParams, SamplingPlan, _readonly, make_sampling_plan
 
 __all__ = [
     "CAPTURE_SCHEMA_VERSION",
@@ -164,7 +164,7 @@ class Capture:
     the radar's ``n_bins`` equal to the plan's.  A capture built in Python
     and one read from files meet the same checks with the same messages, so
     no capture that cannot be read back is ever written.  The samples are
-    stored as complex128.
+    stored as a read-only complex128 copy, so they stay as checked.
     """
 
     plan: SamplingPlan
@@ -174,7 +174,7 @@ class Capture:
     radar: RadarParams
 
     def __post_init__(self):
-        samples, dither = np.asarray(self.samples, dtype=np.complex128), self.dither
+        samples, dither = _readonly(self.samples, np.complex128), self.dither
         if self.plan.omega.ndim != 1:
             raise ValueError("a capture holds one sampling plan, not a stack")
         if samples.shape != (self.plan.n_meas,):

@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .seeding import seed_rows
+from .seeding import _seed_array, seed_rows
 from .signal_model import ProfileLike, SamplingPlan, _Owned, _readonly, forward
 
 __all__ = [
@@ -101,7 +101,8 @@ class QuantizerConfig:
 class Dither:
     """Complex dither vector; real/imag parts uniform on (-delta/2, delta/2).
 
-    Unseeded (T, M) values stack the dithers of T trials.
+    Unseeded (T, M) values stack the dithers of T trials.  A seed is a draw
+    seed, in [0, 2**64), so a stored dither seed still draws.
     """
 
     values: np.ndarray
@@ -111,6 +112,8 @@ class Dither:
         vals = _readonly(self.values, np.complex128)
         if vals.ndim != 1 and (vals.ndim != 2 or self.seed is not None):
             raise ValueError("dither values must be a 1-D complex vector (or an unseeded stack)")
+        if self.seed is not None:
+            _seed_array([self.seed])
         object.__setattr__(self, "values", vals)
 
     @property
@@ -178,12 +181,11 @@ def draw_dither(config: QuantizerConfig, n_meas: int, seed) -> Dither:
     rows, stacked = seed_rows(seed)
     half = 0.5 * config.step
     values = np.empty((len(rows), n_meas), dtype=np.complex128)
-    pairs = values.view(np.float64).reshape(len(rows), n_meas, 2)
     uniforms = np.empty((2, n_meas))
-    for row, g in zip(pairs, rows.generators()):
+    for row, g in zip(values, rows.generators()):
         # The real parts, then the imaginary parts, as two uniform() calls draw them.
         g.random(out=uniforms)
-        row[...] = uniforms.T
+        row.real, row.imag = uniforms
     # Generator.uniform(low, high) computes low + (high - low) * u; applied
     # here to the whole stack, with low = -half and high - low = half + half.
     parts = values.view(np.float64)

@@ -7,6 +7,10 @@ and bit for bit, against the single-trial path.
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -180,15 +184,19 @@ class TestBatchedQiht:
                 assert getattr(single, field).tobytes() == getattr(outcomes, field)[i : i + 1].tobytes()
 
 
-class RecordingPool(ProcessPoolExecutor):
-    """A pool that records the points and trials of every block it is given."""
+class RecordingPool:
+    """This process's worker pool, recording the points and trials of every block it is given."""
 
     tasks = []
+    worker_pool = staticmethod(evaluation._worker_pool)
+
+    def __init__(self, workers):
+        self.pool = self.worker_pool(workers)
 
     def map(self, fn, points, trials, *rest, **kwargs):
         points, trials = list(points), list(trials)
         RecordingPool.tasks.append(list(zip(points, trials)))
-        return super().map(fn, points, trials, *rest, **kwargs)
+        return self.pool.map(fn, points, trials, *rest, **kwargs)
 
 
 # At N = 32 and sparsity 3: below one ramp (M = 20), two ramps and a
@@ -239,7 +247,7 @@ class TestChunkedGrid:
         config = ExperimentConfig(
             n_bins=64, sparsities=(2, 3), bitrates=(2048, 4096, 8192), trials=53, master_seed=5
         )
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(evaluation, "_worker_pool", RecordingPool)
         RecordingPool.tasks.clear()
         serial = [vars(r) for r in run_grid(config, max_workers=1)]
         for workers in (2, 3):
@@ -256,7 +264,7 @@ class TestChunkedGrid:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(evaluation, "_worker_pool", no_pool)
         config = ExperimentConfig(sparsities=(10,), bitrates=(512,), algorithm="qiht", trials=2)
         assert run_grid(config, max_workers=2)[0].trials == 2
 
@@ -309,6 +317,112 @@ class TestChunkedGrid:
         assert result.mean_tpr_pct == 100.0 * mean
         assert result.stderr_pct == 100.0 * ((tpr_sq_sum - 300 * mean * mean) / 299 / 300) ** 0.5
         assert result.mean_l2_error == l2_sum / 300
+
+
+# Two sparsities of 30 trials at N = 64: blocks for 2 and 3 workers.
+POOL_CONFIG = ExperimentConfig(n_bins=64, sparsities=(2, 3), bitrates=(2048, 8192), trials=30, master_seed=11)
+
+
+def _sweep(workers):
+    return [vars(r) for r in run_grid(POOL_CONFIG, max_workers=workers)]
+
+
+def _pool_pids() -> set:
+    """The worker pids of the pool this process keeps."""
+    return set(evaluation._pool[2]._processes)
+
+
+def _is_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _sweep_to(conn, workers):
+    conn.send((os.getpid(), _sweep(workers), evaluation._pool[0]))
+    conn.close()
+
+
+def failing_block(*args):
+    raise RuntimeError("a block failed")
+
+
+class TestWorkerPool:
+    def test_sweeps_share_one_pool(self):
+        serial = _sweep(1)
+        assert _sweep(2) == serial
+        pids = _pool_pids()
+        assert _sweep(2) == serial
+        assert _pool_pids() == pids and len(pids) == 2
+
+    def test_a_new_worker_count_rebuilds_the_pool(self):
+        serial, previous = _sweep(1), set()
+        for workers in (2, 3, 2):
+            assert _sweep(workers) == serial
+            pids = _pool_pids()
+            assert len(pids) == workers and not pids & previous
+            assert not any(map(_is_alive, previous))  # the replaced pool's workers were joined
+            previous = pids
+
+    def test_a_killed_worker_gets_a_new_pool(self):
+        serial = _sweep(1)
+        assert _sweep(2) == serial
+        pool = evaluation._pool[2]
+        os.kill(min(_pool_pids()), signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pool._broken
+        assert _sweep(2) == serial
+        assert evaluation._pool[2] is not pool
+
+    def test_a_failed_sweep_drops_the_pool(self, monkeypatch):
+        serial = _sweep(1)
+        assert _sweep(2) == serial
+        pids = _pool_pids()
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluation, "run_block", failing_block)
+            with pytest.raises(RuntimeError, match="a block failed"):
+                _sweep(2)
+        assert evaluation._pool is None and not any(map(_is_alive, pids))
+        assert _sweep(2) == serial
+
+    def test_a_forked_process_starts_its_own_pool_and_ends(self):
+        serial = _sweep(1)
+        assert _sweep(2) == serial
+        pool = evaluation._pool[2]
+        fork = multiprocessing.get_context("fork")
+        receiver, sender = fork.Pipe(duplex=False)
+        child = fork.Process(target=_sweep_to, args=(sender, 2))
+        child.start()
+        try:
+            assert receiver.poll(120)
+            pid, results, owner = receiver.recv()
+            assert results == serial and owner == pid != os.getpid()
+            # It stops its pool before multiprocessing joins its children.
+            child.join(60)
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+        assert evaluation._pool[2] is pool
+
+    def test_no_worker_outlives_its_process(self):
+        code = (
+            "from qcsradar import evaluation\n"
+            "config = evaluation.ExperimentConfig(n_bins=64, bitrates=(2048, 8192), trials=30)\n"
+            "evaluation.run_grid(config, max_workers=2)\n"
+            "print(*sorted(evaluation._pool[2]._processes))"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(evaluation.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        pids = list(map(int, done.stdout.split()))
+        assert len(pids) == 2 and not any(map(_is_alive, pids))
 
 
 def _glibc() -> bool:

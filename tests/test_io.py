@@ -287,6 +287,18 @@ class TestCaptureRoundTrip:
         write_capture(tmp_path / "again.iq", back)
         assert (tmp_path / "again.iq.json").read_text() == text
 
+    def test_samples_stay_as_checked(self, tmp_path):
+        capture, _ = _make_capture(seed=11)
+        write_capture(tmp_path / "c.iq", capture)
+        back = read_capture(tmp_path / "c.iq")
+        for held in (capture, back):
+            with pytest.raises(ValueError, match="read-only"):
+                held.samples[0] = np.nan
+        samples = np.array(back.samples)
+        copy = dataclasses.replace(back, samples=samples)
+        samples[0] = np.nan
+        assert np.isfinite(copy.samples).all()
+
     def test_sample_count_validated_at_write(self, tmp_path):
         # Capture checks the sample count when it is built, so no such capture reaches the writer.
         capture, _ = _make_capture(seed=10)

@@ -249,3 +249,10 @@ class TestDitherType:
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
             Dither(values=np.zeros((2, 2), complex), seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 7, 2.5])
+    def test_seed_must_be_a_draw_seed(self, seed):
+        # A capture writes the seed alone, and reading draws from it again.
+        with pytest.raises(ValueError, match="draw seeds must be integers"):
+            Dither(values=np.zeros(3, complex), seed=seed)
+        assert Dither(values=np.zeros(3, complex), seed=2**64 - 1).seed == 2**64 - 1
