@@ -38,10 +38,10 @@ settings, and ExperimentConfig the values neither knows; nothing restates them.
 
 from __future__ import annotations
 
-import ctypes
 import itertools
 import logging
 import os
+import sys
 import threading
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -51,6 +51,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import _worker
 from .quantization import (
     UNQUANTIZED_BITS, _acquire, _is_int, adapted_quantizer, check_bit_depth, decode_bit_depth, draw_dither, encode_bit_depth,
 )
@@ -85,20 +86,22 @@ MEAS_RANGE = (2**3, 2**13)
 # more per-call overhead but grow each worker's working set.
 CHUNK_ELEMENTS = 2**15
 
-# glibc's mallopt parameters (malloc.h) and the values a pool worker sets.
+# The mallopt values a pool worker sets (glibc only, :func:`_worker.keep_heap`).
 # Arrays up to twice a chunk's largest (one complex128 stack of
 # CHUNK_ELEMENTS values, 512 KiB) come from the heap rather than from mmap,
 # and the heap is trimmed only above 16 MiB, beyond a block's peak (4 to
 # 5 MiB at N=256: its profiles and spectrum, and one sub-chunk), so a
 # worker's next sub-chunk reuses pages it has already touched.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _WORKER_MMAP_THRESHOLD = 2 * 16 * CHUNK_ELEMENTS
 _WORKER_TRIM_THRESHOLD = 16 * 2**20
 
-# This process's worker pool, as (owner pid, workers, executor), or None.  A
-# process forked from the owner inherits the tuple but not the pool's threads.
+# This process's worker pool, as (owner pid, workers, executor, exit hook),
+# or None.  A process forked from the owner inherits the tuple but not the
+# pool's threads.
 _pool = None
 _pool_lock = threading.Lock()
+# This module, weakly: a fresh import of the package discards it, and its pool with it.
+_module = weakref.ref(sys.modules[__name__])
 
 
 @dataclass(frozen=True)
@@ -434,53 +437,44 @@ def _resolve_workers(max_workers: Optional[int], n_tasks: int) -> int:
     return max(1, min(max_workers, n_tasks))
 
 
-def _keep_heap() -> None:
-    """Pool worker initializer: keep freed memory in the heap between sub-chunks (glibc only)."""
-    try:
-        os.confstr("CS_GNU_LIBC_VERSION")
-        mallopt = ctypes.CDLL(None).mallopt
-    except (ValueError, OSError, AttributeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
-
-
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """This process's pool of ``workers`` workers: the one it keeps, or a new one.
 
     The caller holds ``_pool_lock``.  A pool of another size, or one that a
     dead worker has broken, is shut down once the work already submitted to
-    it is done; concurrent.futures joins the workers of the last one at exit.
+    it is done; concurrent.futures joins the workers of the last one at exit,
+    and a worker ends with this process if it is killed (:func:`_worker.start`).
     """
     global _pool
     if _pool is not None:
-        owner, size, pool = _pool
-        if owner == os.getpid() and size == workers and not pool._broken:
+        owner, size, pool, _ = _pool
+        # _broken is private to concurrent.futures; were it gone, a broken pool would fail one sweep and be dropped.
+        if owner == os.getpid() and size == workers and not getattr(pool, "_broken", False):
             return pool
         _drop_pool(pool, cancel_futures=False)
-    pool = ProcessPoolExecutor(workers, initializer=_keep_heap)
-    _pool = (os.getpid(), workers, pool)
+    pool = ProcessPoolExecutor(
+        workers, initializer=_worker.start, initargs=(_WORKER_MMAP_THRESHOLD, _WORKER_TRIM_THRESHOLD)
+    )
     # A process that multiprocessing started joins its children as it ends,
     # before the interpreter exit that would stop the pool's workers; stop
     # them first, while the pool's queues (exit priority 10) still feed them.
-    mp_util.Finalize(pool, _stop_at_exit, args=(weakref.ref(pool),), exitpriority=20)
+    # Stop them as well as soon as this module is discarded, rather than when
+    # the garbage collector frees its globals.
+    stop = mp_util.Finalize(_module(), _worker.stop_at_exit, args=(weakref.ref(pool), os.getpid()), exitpriority=20)
+    _pool = (os.getpid(), workers, pool, stop)
     return pool
-
-
-def _stop_at_exit(pool_ref) -> None:
-    pool = pool_ref()
-    if pool is not None:
-        _drop_pool(pool, cancel_futures=True)
 
 
 def _drop_pool(pool: ProcessPoolExecutor, cancel_futures: bool) -> None:
     """Forget ``pool`` if this process keeps it, and shut it down if this process also started it.
 
-    The caller holds ``_pool_lock``, except at exit.
+    The caller holds ``_pool_lock``.
     """
     global _pool
     if _pool is not None and _pool[2] is pool:
-        owner, _pool = _pool[0], None
+        owner, _, _, stop = _pool
+        _pool = None
+        stop.cancel()
         if owner == os.getpid():
             pool.shutdown(wait=True, cancel_futures=cancel_futures)
 
@@ -500,8 +494,9 @@ def run_grid(
     runs them in this process and leaves its allocator alone.  Several run
     them on the pool this process keeps: it starts with the first parallel
     sweep, is rebuilt when the worker count changes or after a sweep on it
-    failed, and ends when the process exits.  Its workers are forked, so
-    they see module state as it was when the pool started.  Per-trial
+    failed, and ends when the process exits, or with it if it is killed.
+    Under the fork start method its workers see module state as it was when
+    the pool started, not as patched since.  Per-trial
     results are added up in trial order, so the aggregates are the same for
     any worker count; the output is sorted by (algorithm, dithered, bit
     depth, sparsity, bitrate).

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
-from qcsradar import evaluation
+from qcsradar import _worker, evaluation
 from qcsradar.evaluation import (
     CHUNK_ELEMENTS,
     ExperimentConfig,
@@ -333,11 +333,35 @@ def _pool_pids() -> set:
 
 
 def _is_alive(pid: int) -> bool:
+    """Whether ``pid`` runs: a zombie has ended, whoever is yet to reap it."""
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
         return False
-    return True
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return not os.path.isdir("/proc/self")
+
+
+def _wait_gone(pids, seconds=30) -> bool:
+    """Whether every one of ``pids`` ends within ``seconds``; those left are killed."""
+    deadline = time.monotonic() + seconds
+    while any(map(_is_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = list(filter(_is_alive, pids))
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    return not left
+
+
+def _python(code, **kwargs):
+    """Start ``code`` in a new interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evaluation.__file__)))
+    return subprocess.Popen(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src}, **kwargs
+    )
 
 
 def _sweep_to(conn, workers):
@@ -349,6 +373,10 @@ def failing_block(*args):
     raise RuntimeError("a block failed")
 
 
+# The pool outlives each sweep, so a test that patches module state and then
+# sweeps on more than one worker may run on workers started before the patch:
+# they do not see it.  Patch what run_grid passes to the pool, or this
+# module's accessors of it, instead.
 class TestWorkerPool:
     def test_sweeps_share_one_pool(self):
         serial = _sweep(1)
@@ -416,13 +444,56 @@ class TestWorkerPool:
             "evaluation.run_grid(config, max_workers=2)\n"
             "print(*sorted(evaluation._pool[2]._processes))"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(evaluation.__file__)))
-        done = subprocess.run(
-            [sys.executable, "-c", code], check=True, capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": src},
+        child = _python(code)
+        out, _ = child.communicate(timeout=120)
+        pids = list(map(int, out.split()))
+        assert child.returncode == 0 and len(pids) == 2 and not any(map(_is_alive, pids))
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=lambda signum: signum.name)
+    def test_workers_end_with_a_killed_owner(self, signum):
+        # Killed, the owner never reaches the interpreter exit that joins its workers.
+        code = (
+            "import time\n"
+            "from qcsradar import evaluation\n"
+            "config = evaluation.ExperimentConfig(n_bins=64, bitrates=(2048, 8192), trials=30)\n"
+            "evaluation.run_grid(config, max_workers=2)\n"
+            "print(*sorted(evaluation._pool[2]._processes), flush=True)\n"
+            "time.sleep(120)"
         )
-        pids = list(map(int, done.stdout.split()))
-        assert len(pids) == 2 and not any(map(_is_alive, pids))
+        child = _python(code)
+        try:
+            pids = list(map(int, child.stdout.readline().split()))
+            assert len(pids) == 2 and all(map(_is_alive, pids))
+        finally:
+            child.send_signal(signum)
+            child.communicate(timeout=60)
+        assert _wait_gone(pids)
+
+    def test_a_discarded_copy_of_the_package_stops_its_pool(self):
+        # A fresh import replaces the module; its pool stops with it, not at
+        # exit and not when the garbage collector (off here) would free it.
+        code = (
+            "import gc, sys\n"
+            "gc.disable()\n"
+            "def sweep():\n"
+            "    for name in [m for m in sys.modules if m.split('.')[0] == 'qcsradar']:\n"
+            "        del sys.modules[name]\n"
+            "    from qcsradar import evaluation\n"
+            "    config = evaluation.ExperimentConfig(n_bins=64, bitrates=(2048, 8192), trials=30)\n"
+            "    evaluation.run_grid(config, max_workers=2)\n"
+            "    return sorted(evaluation._pool[2]._processes)\n"
+            "print(*sweep(), flush=True)\n"
+            "print(*sweep(), flush=True)\n"
+            "sys.stdin.read()"
+        )
+        child = _python(code, stdin=subprocess.PIPE)
+        try:
+            first, second = (list(map(int, child.stdout.readline().split())) for _ in range(2))
+            assert len(first) == len(second) == 2 and not set(first) & set(second)
+            assert _wait_gone(first) and all(map(_is_alive, second))
+        finally:
+            child.communicate("", timeout=60)
+        assert child.returncode == 0 and not any(map(_is_alive, second))
 
 
 def _glibc() -> bool:
@@ -452,7 +523,8 @@ def test_pool_workers_keep_their_heap_between_chunks():
     spawn = multiprocessing.get_context("spawn")
     point = GridPoint(2, 1, 8192, True, "pbp")
     faults = {}
-    for initializer in (None, evaluation._keep_heap):
-        with ProcessPoolExecutor(1, mp_context=spawn, initializer=initializer) as pool:
+    thresholds = (evaluation._WORKER_MMAP_THRESHOLD, evaluation._WORKER_TRIM_THRESHOLD)
+    for initializer, initargs in ((None, ()), (_worker.keep_heap, thresholds)):
+        with ProcessPoolExecutor(1, mp_context=spawn, initializer=initializer, initargs=initargs) as pool:
             faults[initializer] = sum(pool.submit(_warm_chunk_faults, point, range(4), 5).result())
-    assert faults[evaluation._keep_heap] * 10 <= faults[None]
+    assert faults[_worker.keep_heap] * 10 <= faults[None]
