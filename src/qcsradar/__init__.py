@@ -27,6 +27,7 @@ from .io import Capture, config_to_json, parse_config, read_capture, write_captu
 from .quantization import (
     Dither,
     QuantizerConfig,
+    acquire,
     adapted_quantizer,
     draw_dither,
     dynamic_range_for,
@@ -38,6 +39,7 @@ from .recovery import (
     RecoveryResult,
     StopReason,
     consistency,
+    estimate,
     hard_threshold,
     pbp,
     qiht,

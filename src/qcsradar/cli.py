@@ -29,17 +29,10 @@ from .io import (
     write_capture,
     write_results,
 )
-from .quantization import _acquire, adapted_quantizer, check_bit_depth, decode_bit_depth, draw_dither, encode_bit_depth
-from .recovery import RecoveryConfig, consistency, pbp, qiht
+from .quantization import acquire, check_bit_depth, decode_bit_depth, encode_bit_depth
+from .recovery import ALGORITHMS, RecoveryConfig, estimate, stack_of_one
 from .seeding import derive_seed
-from .signal_model import (
-    RadarParams,
-    bin_number,
-    bin_to_range,
-    forward,
-    make_sampling_plan,
-    random_profile,
-)
+from .signal_model import RadarParams, RangeProfile, bin_number, bin_to_range, make_sampling_plan, random_profile
 
 __all__ = ["main"]
 
@@ -109,7 +102,7 @@ def _add_ambiguity(subparsers):
 def _add_recover(subparsers):
     p = subparsers.add_parser("recover", help="estimate a sparse range profile from a capture file")
     p.add_argument("--capture", required=True, help="capture payload path (sidecar at <path>.json)")
-    p.add_argument("--algo", choices=("pbp", "qiht"), default="qiht")
+    p.add_argument("--algo", choices=ALGORITHMS, default="qiht")
     p.add_argument("--sparsity", type=int, required=True, help="number of targets K")
     p.add_argument("--mu", type=float, default=1.0, help="QIHT step size")
     p.add_argument("--max-iters", type=int, default=None, help="QIHT iteration budget (default max(20, 100K))")
@@ -202,43 +195,26 @@ def _cmd_ambiguity(args) -> int:
 
 def _cmd_recover(args) -> int:
     with _argument_errors():
-        recovery = RecoveryConfig(
-            sparsity=args.sparsity,
-            step_size=args.mu,
-            max_iters=args.max_iters,
-            consistency_target=args.target,
-        )
+        recovery = RecoveryConfig(args.sparsity, args.mu, args.max_iters, args.target)
     if args.out is not None:
         check_output_path(args.out, "report")
     capture = read_capture(args.capture)
-    plan, quantizer, dither = capture.plan, capture.quantizer, capture.dither
-    if args.sparsity > plan.n_bins:
-        raise ValueError(f"config: sparsity must be in [1, {plan.n_bins}] for this capture, got {args.sparsity}")
-    if args.algo == "pbp":
-        estimate = pbp(plan, capture.samples, args.sparsity)
-        iterations = 0
-        stop_reason = None
-        final_consistency = (
-            consistency(plan, quantizer, dither, capture.samples, estimate)
-            if quantizer.quantized
-            else None
-        )
-    else:
-        result = qiht(plan, quantizer, dither, capture.samples, recovery)
-        estimate = result.estimate
-        iterations = result.iterations_run
-        stop_reason = result.stop_reason.value
-        final_consistency = result.final_consistency
+    if args.sparsity > capture.plan.n_bins:
+        raise ValueError(f"config: sparsity must be in [1, {capture.plan.n_bins}] for this capture, got {args.sparsity}")
+    plan, dither, y = stack_of_one(capture.plan, capture.dither, capture.samples)
+    (amplitudes,), (iterations,), final, (reason,) = estimate(
+        args.algo, plan, capture.quantizer, dither, y, recovery, _pbp_consistency=True
+    )
 
-    scene = _scene(estimate)
+    scene = _scene(RangeProfile(amplitudes))
     report = {
         **scene,
         "algorithm": args.algo,
         "sparsity": args.sparsity,
         "ranges_m": [bin_to_range(capture.radar, b) for b in scene["support_bins"]],
-        "iterations": iterations,
-        "final_consistency": final_consistency,
-        "stop_reason": stop_reason,
+        "iterations": int(iterations),
+        "final_consistency": None if final is None else float(final[0]),
+        "stop_reason": None if reason is None else reason.value,
     }
     _emit(report, args.out)
     return 0
@@ -252,16 +228,7 @@ def _cmd_gen_capture(args) -> int:
         )
         profile = random_profile(args.n, args.sparsity, derive_seed(args.seed, "capture-profile"))
         plan = make_sampling_plan(args.n, args.meas, derive_seed(args.seed, "capture-plan"))
-    raw = forward(plan, profile)
-    dithered = args.dithered and args.bits is not None
-    quantizer = adapted_quantizer(raw, args.bits, dithered)
-    dither = (
-        draw_dither(quantizer, args.meas, derive_seed(args.seed, "capture-dither"))
-        if dithered
-        else None
-    )
-    # What sense would compute, without taking forward a second time.
-    samples = _acquire(quantizer, dither, raw)
+    quantizer, dither, samples = acquire(plan, args.bits, args.dithered, derive_seed(args.seed, "capture-dither"), profile)
     capture = Capture(plan=plan, quantizer=quantizer, dither=dither, samples=samples, radar=radar)
     sidecar = write_capture(args.out, capture, store_dither_values=args.store_dither_values)
 
@@ -272,7 +239,7 @@ def _cmd_gen_capture(args) -> int:
         "n_bins": args.n,
         "n_meas": args.meas,
         "bit_depth": encode_bit_depth(args.bits),
-        "dithered": dithered,
+        "dithered": dither is not None,
         "seed": args.seed,
     }
     print(json.dumps(report, sort_keys=True))

@@ -16,13 +16,13 @@ one :class:`~qcsradar.seeding.SeedStack`, so their Philox keys are derived
 in one pass and each draw re-keys a single generator row by row.  Each
 point then runs in sub-chunks of at most CHUNK_ELEMENTS values: every trial
 still draws its plan and dither from its own sub-seeds and gets its own
-range-adapted quantizer, but a sub-chunk is drawn as stacked arrays (one
-range rule gives a (T, 1) column of ranges), ``forward`` gathers it from
-the block's spectrum, and its output takes the dither and the quantizer in
-place before the rows are recovered as one batch.  A trial's outcome does
-not depend on which other trials share its block or sub-chunk.  A point's
-result is one :class:`TrialOutcomes` of (T,) arrays: hits, l2 error and
-iterations, in trial order.  :func:`run_trials` is the block of one point.
+range-adapted quantizer, but a sub-chunk is drawn as stacked arrays: one
+:func:`~qcsradar.quantization.acquire` gathers it from the block's spectrum
+(with a (T, 1) column of ranges), and one :func:`~qcsradar.recovery.estimate`
+recovers its rows.  A trial's outcome does not depend on which other trials
+share its block or sub-chunk.  A point's result is one :class:`TrialOutcomes`
+of (T,) arrays: hits, l2 error and iterations, in trial order.
+:func:`run_trials` is the block of one point.
 
 :func:`run_grid` runs the blocks on the worker pool this process keeps
 (:func:`_worker_pool`).  Every block of a sparsity carries the same points,
@@ -52,12 +52,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import _worker
-from .quantization import (
-    UNQUANTIZED_BITS, _acquire, _is_int, adapted_quantizer, check_bit_depth, decode_bit_depth, draw_dither, encode_bit_depth,
-)
-from .recovery import RecoveryConfig, pbp, qiht_batch
+from .quantization import UNQUANTIZED_BITS, _is_int, acquire, check_bit_depth, decode_bit_depth, encode_bit_depth
+from .recovery import ALGORITHMS, RecoveryConfig, estimate
 from .seeding import SeedStack, derive_seeds
-from .signal_model import forward, make_sampling_plan, random_profile
+from .signal_model import make_sampling_plan, random_profile
 
 __all__ = [
     "ALGORITHMS",
@@ -75,8 +73,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-ALGORITHMS = ("pbp", "qiht")
 
 # Admissible measurement counts for the evaluation protocol.
 MEAS_RANGE = (2**3, 2**13)
@@ -313,16 +309,9 @@ def _chunk_rows(point: GridPoint, n_bins: int) -> int:
 
 def _run_rows(point, truth, spectrum, peaks, plan_seeds, dither_seeds, recovery) -> TrialOutcomes:
     """Outcomes of one sub-chunk of a point's trials, whose profiles and spectra are given."""
-    n_bins, m, b = truth.shape[1], point.n_meas, point.bit_depth
-    plan = make_sampling_plan(n_bins, m, plan_seeds)
-    r = forward(plan, spectrum=spectrum)
-    quantizer = adapted_quantizer(r, b, point.effective_dithered, peak=peaks)
-    dither = draw_dither(quantizer, m, dither_seeds) if point.effective_dithered else None
-    y = _acquire(quantizer, dither, r)
-    if point.algorithm == "pbp":
-        estimates, iterations = pbp(plan, y, point.sparsity), np.zeros(len(truth), dtype=int)
-    else:
-        estimates, iterations, _, _ = qiht_batch(plan, quantizer, dither, y, recovery)
+    plan = make_sampling_plan(truth.shape[1], point.n_meas, plan_seeds)
+    quantizer, dither, y = acquire(plan, point.bit_depth, point.dithered, dither_seeds, spectrum=spectrum, peak=peaks)
+    estimates, iterations, _, _ = estimate(point.algorithm, plan, quantizer, dither, y, recovery)
     return TrialOutcomes(
         hits=np.count_nonzero((truth != 0) & (estimates != 0), axis=1),
         # The 1-D norm of each row, as a single trial computes it, without a

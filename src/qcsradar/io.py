@@ -160,11 +160,12 @@ class Capture:
 
     The capture validation boundary: one plan (1-D ``omega``), one finite
     sample per measurement, a bit depth a float32 payload holds, a dither
-    only on a quantized capture with one finite value per measurement, and
-    the radar's ``n_bins`` equal to the plan's.  A capture built in Python
-    and one read from files meet the same checks with the same messages, so
-    no capture that cannot be read back is ever written.  The samples are
-    stored as a read-only complex128 copy, so they stay as checked.
+    only on a quantized capture with one finite value per measurement (what
+    its seed draws, if seeded), and the radar's ``n_bins`` equal to the
+    plan's.  A capture built in Python and one read from files meet the same
+    checks with the same messages, so no capture that cannot be read back is
+    ever written.  The samples are stored as a read-only complex128 copy, so
+    they stay as checked.
     """
 
     plan: SamplingPlan
@@ -188,6 +189,10 @@ class Capture:
             raise ValueError("payload holds non-finite samples")
         if dither is not None and (dither.values.shape != samples.shape or not np.isfinite(dither.values).all()):
             raise ValueError(f"dither must hold {self.plan.n_meas} finite values")
+        if dither is not None and dither.seed is not None:
+            # A seeded dither is written as its seed, so its values must be what the seed draws.
+            if draw_dither(self.quantizer, self.plan.n_meas, dither.seed).values.tobytes() != dither.values.tobytes():
+                raise ValueError(f"dither values are not those its seed {dither.seed} draws on this quantizer")
         object.__setattr__(self, "samples", samples)
 
 
@@ -253,7 +258,8 @@ def _capture_error(message: str) -> ValueError:
     return ValueError(f"capture: {message}")
 
 
-def _snap_to_grid(samples: np.ndarray, step: float, path) -> np.ndarray:
+def _snap_to_grid(samples: np.ndarray, step: float) -> tuple:
+    """Finite float32 samples back on the grid of ``step`` (as stored if off it), and their deviation in steps."""
     half = 0.5 * step
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, as one error
         re_cells = (samples.real - half) / step
@@ -263,16 +269,10 @@ def _snap_to_grid(samples: np.ndarray, step: float, path) -> np.ndarray:
             for part, cells in ((samples.real, re_cells), (samples.imag, im_cells))
         )
     if not math.isfinite(deviation):  # finite samples, so their cell indices overflowed
-        raise _capture_error(f"samples overflow the quantization grid of step {step!r}")
+        raise ValueError(f"samples overflow the quantization grid of step {step!r}")
     if deviation > _GRID_SNAP_TOL:
-        logger.warning(
-            "capture %s: samples are off the quantization grid "
-            "(max deviation %.3g steps beyond float32 rounding); leaving them as stored",
-            path,
-            deviation,
-        )
-        return samples
-    return (np.round(re_cells) * step + half) + 1j * (np.round(im_cells) * step + half)
+        return samples, deviation
+    return (np.round(re_cells) * step + half) + 1j * (np.round(im_cells) * step + half), deviation
 
 
 def _field(mapping: dict, key: str, kind: type, where: str = "sidecar"):
@@ -391,13 +391,17 @@ def read_capture(path) -> Capture:
             )
         with np.errstate(invalid="ignore"):  # a signaling NaN is reported by Capture, as one error
             samples = np.frombuffer(payload, dtype="<c8").astype(np.complex128)
+        deviation = 0.0
+        # Capture rejects non-finite samples, which have no cell; it is built once, as it redraws a seeded dither.
+        if quantizer.quantized and np.isfinite(samples).all():
+            samples, deviation = _snap_to_grid(samples, quantizer.step)
         capture = Capture(plan=plan, quantizer=quantizer, dither=dither, samples=samples, radar=radar)
     except (TypeError, ValueError, OverflowError) as exc:
         raise _capture_error(str(exc)) from None
 
     if delta is not None and not math.isclose(delta, quantizer.step, rel_tol=1e-9):
         raise _capture_error(f"dither delta {delta!r} inconsistent with quantizer step {quantizer.step!r}")
-    if not quantizer.quantized:
-        return capture
-    # Capture has rejected non-finite samples, which have no cell to snap to.
-    return dataclasses.replace(capture, samples=_snap_to_grid(samples, quantizer.step, path))
+    if deviation > _GRID_SNAP_TOL:  # warned only for a capture that is not rejected
+        logger.warning("capture %s: samples are off the quantization grid (max deviation %.3g steps beyond "
+                       "float32 rounding); leaving them as stored", path, deviation)
+    return capture

@@ -12,7 +12,8 @@ dynamic range is a (T, 1) column quantizes row i of (T, M) values with its
 own step, and a (T, M) dither stacks the dithers of T trials.  The range
 rule and the dither draw stack the same way: :func:`adapted_quantizer` on
 (T, M) measurements sizes one range per row, and :func:`draw_dither` given
-T seeds draws row i from seed i with row i's step.
+T seeds draws row i from seed i with row i's step.  :func:`acquire` chains
+them into the acquisition map that sweeps and captures share.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "dynamic_range_for",
     "adapted_quantizer",
     "draw_dither",
+    "acquire",
     "sense",
 ]
 
@@ -195,6 +197,21 @@ def draw_dither(config: QuantizerConfig, n_meas: int, seed) -> Dither:
     return Dither(values=_Owned(values), seed=None) if stacked else Dither(values=_Owned(values[0]), seed=int(seed))
 
 
+def acquire(
+    plan: SamplingPlan, bit_depth: Optional[int], dithered: bool, dither_seed, profile=None, *, spectrum=None, peak=None
+) -> tuple:
+    """The acquisition map: (quantizer, dither, measurements) of a profile, or of a (T, N) stack.
+
+    ``forward`` (or the gather of ``spectrum``), the range rule (on a known ``peak`` if given), a
+    dither of ``dither_seed`` (one per row) only when dithered and quantized, then :func:`_acquire`.
+    """
+    r = forward(plan, profile, spectrum=spectrum)
+    dithered = dithered and bit_depth is not None
+    quantizer = adapted_quantizer(r, bit_depth, dithered, peak=peak)
+    dither = draw_dither(quantizer, plan.n_meas, dither_seed) if dithered else None
+    return quantizer, dither, _acquire(quantizer, dither, r)
+
+
 def sense(
     plan: SamplingPlan,
     config: QuantizerConfig,
@@ -214,13 +231,9 @@ def sense(
 
 
 def _acquire(config: QuantizerConfig, dither: Optional[Dither], measurements: np.ndarray) -> np.ndarray:
-    """The acquisition step of :func:`sense` on measurements its caller owns.
+    """Add the dither to ``measurements`` and quantize them in place; unquantized, return them untouched.
 
-    Adds the dither to ``measurements`` and quantizes them in place, in that
-    same buffer, so a caller that has already computed ``forward`` (to size
-    the dynamic range, say) neither recomputes nor copies it.  The buffer
-    must be a complex128 array nothing else uses; unquantized mode returns
-    it untouched.
+    The buffer must be a complex128 array nothing else uses, as :func:`forward` writes for :func:`sense`.
     """
     if not config.quantized:
         if dither is not None:

@@ -16,7 +16,7 @@ Both estimators take a leading trial axis: (T, M) measurements through a
 stacked plan, quantizer and dither are T independent trials, each row
 following exactly the iteration and stop rule of a single trial
 (:func:`qiht_batch`, which runs in working arrays allocated once per call);
-:func:`pbp` and :func:`qiht` are the single-trial case.
+:func:`pbp` and :func:`qiht` are the single-trial case.  :func:`estimate` chooses between them.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .quantization import Dither, QuantizerConfig, sense
 from .signal_model import RangeProfile, SamplingPlan, _Owned, _output, adjoint
 
 __all__ = [
+    "ALGORITHMS",
     "MIN_STOP_ITERS",
     "RecoveryConfig",
     "RecoveryResult",
@@ -41,7 +42,11 @@ __all__ = [
     "consistency",
     "qiht",
     "qiht_batch",
+    "stack_of_one",
+    "estimate",
 ]
+
+ALGORITHMS = ("pbp", "qiht")
 
 # Early-stop rules only engage after this many iterations; the iteration
 # count therefore lies between MIN_STOP_ITERS and the budget (unless the
@@ -312,11 +317,31 @@ def qiht(
     replaces consistency as the stopping score and the recursion is plain
     iterative hard thresholding.
     """
-    y = np.asarray(measurements, dtype=np.complex128)
-    # One-row views of the plan's and dither's own read-only arrays, uncopied;
-    # qiht_batch checks their lengths.
-    stacked_dither = None if dither is None else Dither(_Owned(dither.values[None]))
-    (estimate,), (iterations,), (final,), (reason,) = qiht_batch(
-        replace(plan, omega=_Owned(plan.omega[None])), config, stacked_dither, y[None], recovery
-    )
+    plan, dither, y = stack_of_one(plan, dither, measurements)
+    (estimate,), (iterations,), (final,), (reason,) = qiht_batch(plan, config, dither, y, recovery)
     return RecoveryResult(RangeProfile(estimate), int(iterations), float(final), reason)
+
+
+def stack_of_one(plan: SamplingPlan, dither: Optional[Dither], measurements: np.ndarray) -> tuple:
+    """One trial as stacks of one: one-row views of the plan's and dither's read-only arrays, uncopied."""
+    y = np.asarray(measurements, dtype=np.complex128)
+    stacked_dither = None if dither is None else Dither(_Owned(dither.values[None]))
+    return replace(plan, omega=_Owned(plan.omega[None])), stacked_dither, y[None]
+
+
+def estimate(algorithm: str, plan: SamplingPlan, config: QuantizerConfig, dither: Optional[Dither],
+             measurements: np.ndarray, recovery: RecoveryConfig, *, _pbp_consistency: bool = False) -> tuple:
+    """PBP or QIHT on (T, M) measurements, returning what :func:`qiht_batch` does.
+
+    PBP runs 0 iterations with None stop reasons; its final consistency costs one more :func:`sense`,
+    so it is None unless ``_pbp_consistency`` asks for it on quantized measurements.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
+    if algorithm == "qiht":
+        return qiht_batch(plan, config, dither, measurements, recovery)
+    estimates = pbp(plan, measurements, recovery.sparsity)
+    final = None
+    if _pbp_consistency and config.quantized:
+        final = _scores(np.asarray(measurements), sense(plan, config, dither, estimates), quantized=True)
+    return estimates, np.zeros(len(estimates), dtype=int), final, [None] * len(estimates)

@@ -269,18 +269,17 @@ def adjoint(plan: SamplingPlan, measurements: np.ndarray, out: Optional[np.ndarr
 
     Returns the N-vector with components sum_j y[j] exp(+i 2 pi omega[j] n / N).
     Measurements sharing a frequency index are accumulated into one spectral
-    bin from 0.0, in acquisition order (whole ramps one at a time, then the
-    remaining columns), before a single size-N inverse transform:
+    bin from 0.0, in acquisition order (the whole ramps in one reduction,
+    then the remaining columns), before a single size-N inverse transform:
     O(M + N log N).  The result is written to ``out`` when given.
     """
-    y = np.asarray(measurements, dtype=np.complex128)
+    y = np.ascontiguousarray(measurements, dtype=np.complex128)
     if y.shape != plan.omega.shape:
         raise ValueError(f"measurement length {y.shape} does not match n_meas={plan.n_meas}")
     out = _output(out, y.shape[:-1] + (plan.n_bins,))
-    spectrum = np.zeros_like(out)
-    ramps = _ramp_view(plan, y)
-    for i in range(ramps.shape[-2]):
-        spectrum += ramps[..., i, :]
+    # The whole ramps, added one after another onto 0.0, over their float64 parts: at N = 1 a
+    # complex reduction axis would be innermost, and numpy sums an innermost axis pairwise.
+    spectrum = np.add.reduce(_ramp_view(plan, y).view(np.float64), axis=-2, initial=0.0).view(np.complex128)
     if plan._flat.shape[-1]:
         rest = y[..., plan._ramps * plan.n_bins :]
         np.add.at(spectrum.reshape(-1), plan._flat.reshape(-1), rest.reshape(-1))

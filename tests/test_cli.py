@@ -198,8 +198,7 @@ class TestRecover:
         def no_recovery(*args, **kwargs):
             raise AssertionError("recovery ran")
 
-        monkeypatch.setattr(cli, "pbp", no_recovery)
-        monkeypatch.setattr(cli, "qiht", no_recovery)
+        monkeypatch.setattr(cli, "estimate", no_recovery)
         code, stdout, stderr = run_cli(
             capsys, "recover", "--capture", str(out), "--algo", algo, "--sparsity", "100"
         )
@@ -252,7 +251,7 @@ class TestRecover:
         def no_recovery(*args, **kwargs):
             raise AssertionError("recovery ran")
 
-        monkeypatch.setattr(cli, "qiht", no_recovery)
+        monkeypatch.setattr(cli, "estimate", no_recovery)
         code, stdout, stderr = run_cli(capsys, "recover", "--capture", str(out), "--sparsity", "2")
         assert code == 1 and stdout == ""
         assert stderr.startswith(f"error: capture: bit depth {bits} is finer") and stderr.count("\n") == 1
@@ -352,7 +351,7 @@ class TestFileErrors:
     def test_report_path_rejected_before_recovery(self, tmp_path, capsys, monkeypatch):
         out = self._capture(tmp_path, capsys)
         monkeypatch.setattr(cli, "read_capture", self._no_call("reading the capture"))
-        monkeypatch.setattr(cli, "qiht", self._no_call("recovery"))
+        monkeypatch.setattr(cli, "estimate", self._no_call("recovery"))
         report = tmp_path / "missing" / "r.json"
         result = run_cli(capsys, "recover", "--capture", str(out), "--sparsity", "2", "--out", str(report))
         self._one_line(*result, "io")

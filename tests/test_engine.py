@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ from qcsradar.evaluation import (
     trial_seeds,
 )
 from qcsradar.quantization import Dither, QuantizerConfig, adapted_quantizer, draw_dither, quantize_complex, sense
-from qcsradar.recovery import RecoveryConfig, StopReason, _scores, hard_threshold, qiht, qiht_batch
+from qcsradar.recovery import (
+    RecoveryConfig, RecoveryResult, StopReason, _scores, consistency, estimate, hard_threshold, pbp, qiht, qiht_batch,
+)
 from qcsradar.signal_model import SamplingPlan, adjoint, forward, make_sampling_plan, random_profile
 
 
@@ -114,24 +117,49 @@ class TestBatchedKernels:
         assert Dither(values=np.zeros((2, 3), complex)).n_meas == 3
 
 
+def single_pbp(plan, quantizer, dither, y, recovery):
+    """One PBP trial as ``estimate`` reports it, when asked for the final consistency."""
+    profile = pbp(plan, y, recovery.sparsity)
+    final = consistency(plan, quantizer, dither, y, profile) if quantizer.quantized else None
+    return RecoveryResult(profile, 0, final, None)
+
+
+# The stacked runs checked row by row against single trials: qiht_batch, and
+# estimate with either algorithm (PBP with its final consistency).
+BATCHES = {
+    "qiht_batch": (qiht_batch, qiht),
+    "estimate-qiht": (lambda *args: estimate("qiht", *args), qiht),
+    "estimate-pbp": (lambda *args: estimate("pbp", *args, _pbp_consistency=True), single_pbp),
+}
+
+
 class TestBatchedQiht:
     @staticmethod
-    def assert_rows_equal_single_trial_runs(n_meas, bit_depth, dithered):
+    def assert_rows_equal_single_trial_runs(n_meas, bit_depth, dithered, batch="qiht_batch"):
         plans, quantizers, dithers, plan, stacked, dither, y = stacked_chunk(32, n_meas, 3, bit_depth, range(12), dithered)
         recovery = RecoveryConfig(sparsity=3, max_iters=30)
         inputs = y.tobytes(), stacked.dynamic_range.tobytes()
-        estimates, iterations, final, reasons = qiht_batch(plan, stacked, dither, y, recovery)
+        run_batch, run_single = BATCHES[batch]
+        estimates, iterations, final, reasons = run_batch(plan, stacked, dither, y, recovery)
         assert (y.tobytes(), stacked.dynamic_range.tobytes()) == inputs  # the batch works in its own arrays
         for i in range(12):
-            single = qiht(plans[i], quantizers[i], dithers[i] if dithered else None, y[i], recovery)
+            single = run_single(plans[i], quantizers[i], dithers[i] if dithered else None, y[i], recovery)
             assert estimates[i].tobytes() == single.estimate.amplitudes.tobytes()
             assert iterations[i] == single.iterations_run
-            assert final[i] == single.final_consistency
+            assert (final is None and single.final_consistency is None) or final[i] == single.final_consistency
             assert reasons[i] == single.stop_reason
 
-    @pytest.mark.parametrize("bit_depth, dithered", [(1, True), (2, False), (None, False)])
-    def test_rows_equal_single_trial_runs(self, bit_depth, dithered):
-        self.assert_rows_equal_single_trial_runs(32, bit_depth, dithered)
+    # The qiht_batch cases keep their plain ids; the others also name the batch they run.
+    @pytest.mark.parametrize(
+        "bit_depth, dithered, batch",
+        [
+            pytest.param(b, d, batch, id=f"{b}-{d}" if batch == "qiht_batch" else f"{b}-{d}-{batch}")
+            for batch in BATCHES
+            for b, d in [(1, True), (2, False), (None, False)]
+        ],
+    )
+    def test_rows_equal_single_trial_runs(self, bit_depth, dithered, batch):
+        self.assert_rows_equal_single_trial_runs(32, bit_depth, dithered, batch)
 
     # N = 32: below one ramp, two ramps and a remainder, three ramps (one ramp is above).
     @pytest.mark.parametrize("n_meas", [20, 76, 96])
@@ -494,6 +522,45 @@ class TestWorkerPool:
         finally:
             child.communicate("", timeout=60)
         assert child.returncode == 0 and not any(map(_is_alive, second))
+
+
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_other_start_methods(self, tmp_path, method):
+        # The same promises as under fork: a discarded copy of the package
+        # stops its pool, the golden sweep comes out the same on 2 workers,
+        # and a killed owner leaves no worker behind.
+        out = tmp_path / "sweep.csv"
+        code = (
+            "import gc, multiprocessing, sys\n"
+            f"multiprocessing.set_start_method({method!r})\n"
+            "gc.disable()\n"
+            f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
+            "def fresh():\n"
+            "    for name in [m for m in sys.modules if m.split('.')[0] == 'qcsradar']:\n"
+            "        del sys.modules[name]\n"
+            "    from qcsradar import evaluation\n"
+            "    return evaluation\n"
+            "evaluation = fresh()\n"
+            "config = evaluation.ExperimentConfig(n_bins=64, bitrates=(2048, 8192), trials=30)\n"
+            "evaluation.run_grid(config, max_workers=2)\n"
+            "print(*sorted(evaluation._pool[2]._processes), flush=True)\n"
+            "del evaluation\n"
+            "evaluation = fresh()\n"
+            "import test_golden\n"
+            f"test_golden.write_sweep({str(out)!r}, max_workers=2)\n"
+            "print(*sorted(evaluation._pool[2]._processes), flush=True)\n"
+            "sys.stdin.read()"
+        )
+        child = _python(code, stdin=subprocess.PIPE)
+        try:
+            first, second = (list(map(int, child.stdout.readline().split())) for _ in range(2))
+            assert len(first) == len(second) == 2 and not set(first) & set(second)
+            assert _wait_gone(first) and all(map(_is_alive, second))
+            assert out.read_bytes() == (Path(__file__).parent / "golden" / "sweep.csv").read_bytes()
+        finally:
+            child.kill()
+            child.communicate(timeout=60)
+        assert _wait_gone(second)
 
 
 def _glibc() -> bool:

@@ -1,9 +1,12 @@
-"""Capture files pinned byte for byte, and the stored dither values codec.
+"""Capture files and recover reports pinned byte for byte, and the stored dither values codec.
 
 The files under ``tests/golden/captures/`` were written by ``gen-capture``
 with N=64, M=200 (three full ramps and a partial fourth), K=2 and seed 11,
 before the sidecar writer was rewritten; the writer must keep producing
-them exactly.
+them exactly.  ``tests/golden/reports/<kind>.<algo>.json`` is the stdout of
+``recover --capture <kind>.iq --algo <algo> --sparsity 2`` on each of them,
+written before sweeps and the CLI shared one acquisition and one
+estimation path.
 """
 
 import json
@@ -18,6 +21,7 @@ from qcsradar.cli import main
 from qcsradar.io import read_capture, write_capture
 
 GOLDEN = Path(__file__).parent / "golden" / "captures"
+REPORTS = Path(__file__).parent / "golden" / "reports"
 
 KINDS = [
     ("1bit_dither_seed", ["--bits", "1"]),
@@ -51,6 +55,13 @@ def test_read_then_write_reproduces_golden_bytes(tmp_path, stem):
     out = tmp_path / f"{stem}.iq"
     write_capture(out, capture, store_dither_values=stem == "1bit_dither_values")
     assert_same_files(out, stem)
+
+
+@pytest.mark.parametrize("algo", ["pbp", "qiht"])
+@pytest.mark.parametrize("stem", [k[0] for k in KINDS])
+def test_recover_writes_golden_report(capsys, stem, algo):
+    assert main(["recover", "--capture", str(GOLDEN / f"{stem}.iq"), "--algo", algo, "--sparsity", "2"]) == 0
+    assert capsys.readouterr().out.encode() == (REPORTS / f"{stem}.{algo}.json").read_bytes()
 
 
 def copy_golden_values_capture(tmp_path):

@@ -10,6 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcsradar.io
+import qcsradar.quantization
+from qcsradar.cli import main
 from qcsradar.evaluation import AggregateResult, ExperimentConfig, GridPoint
 from qcsradar.io import (
     CAPTURE_MAX_BITS,
@@ -287,6 +290,21 @@ class TestCaptureRoundTrip:
         write_capture(tmp_path / "again.iq", back)
         assert (tmp_path / "again.iq.json").read_text() == text
 
+    def test_a_seeded_dither_is_drawn_once_more_to_check_it(self, tmp_path, monkeypatch, capsys):
+        # gen-capture and read_capture each draw it once, and Capture once to check it.
+        draws = []
+
+        def counted(*args):
+            draws.append(args[-1])
+            return draw_dither(*args)
+
+        for module in (qcsradar.quantization, qcsradar.io):
+            monkeypatch.setattr(module, "draw_dither", counted)
+        assert main(["gen-capture", "--out", str(tmp_path / "c.iq"), "--n", "64", "--meas", "256"]) == 0
+        assert len(draws) == 2 and len(set(draws)) == 1
+        read_capture(tmp_path / "c.iq")
+        assert len(draws) == 4 and len(set(draws)) == 1
+
     def test_samples_stay_as_checked(self, tmp_path):
         capture, _ = _make_capture(seed=11)
         write_capture(tmp_path / "c.iq", capture)
@@ -360,8 +378,14 @@ def test_round_trip_property(tmp_path):
         (lambda c: {"samples": c.samples[:-1]}, "sample count"),
         (lambda c: {"quantizer": QuantizerConfig(CAPTURE_MAX_BITS + 1, c.quantizer.dynamic_range)}, "bit depth 23"),
         (lambda c: {"plan": SamplingPlan(32, 64, np.stack([c.plan.omega] * 2), None)}, "one sampling plan"),
+        # Written as its seed alone, it would read back with the seed's values.
+        (lambda c: {"dither": Dither(c.dither.values[::-1], seed=c.dither.seed)}, "not those its seed"),
+        (lambda c: {"quantizer": QuantizerConfig(1, 2 * c.quantizer.dynamic_range)}, "not those its seed"),
     ],
-    ids=["nan-sample", "radar-bins", "short-dither", "unquantized-dither", "sample-count", "b23", "stacked-plan"],
+    ids=[
+        "nan-sample", "radar-bins", "short-dither", "unquantized-dither", "sample-count", "b23", "stacked-plan",
+        "seeded-values-reversed", "seeded-values-of-another-step",
+    ],
 )
 def test_invalid_capture_rejected_at_construction(fields, fragment):
     capture, _ = _make_capture(seed=15)

@@ -11,6 +11,7 @@ from qcsradar import seeding
 from qcsradar.quantization import (
     Dither,
     QuantizerConfig,
+    acquire,
     adapted_quantizer,
     draw_dither,
     dynamic_range_for,
@@ -56,6 +57,26 @@ def old_quantize(config, values):
     return midrise(v.real, config.step) + 1j * midrise(v.imag, config.step)
 
 
+def drawn_rows(bit_depth, n_meas):
+    """A (T, M) dither stack drawn with a column of steps, and each of its rows drawn alone."""
+    ranges = np.array([[0.1], [1.0], [3.7], [1e-9], [250.0]])
+    stack = draw_dither(QuantizerConfig(bit_depth, ranges), n_meas, SEEDS)
+    return stack, [draw_dither(QuantizerConfig(bit_depth, r), n_meas, s) for r, s in zip(ranges[:, 0], SEEDS)]
+
+
+def acquired_rows(bit_depth, n_meas):
+    """The dither stack of a stacked acquisition, and each trial acquired alone, with equal ranges and measurements."""
+    plans, truth = make_sampling_plan(16, n_meas, SEEDS), random_profile(16, 3, SEEDS)
+    column, stack, y = acquire(plans, bit_depth, True, SEEDS, truth)
+    singles = []
+    for i, seed in enumerate(SEEDS):
+        plan, profile = make_sampling_plan(16, n_meas, seed), random_profile(16, 3, seed)
+        quantizer, dither, row = acquire(plan, bit_depth, True, seed, profile)
+        assert same_bits(column.dynamic_range[i], [quantizer.dynamic_range]) and same_bits(y[i], row)
+        singles.append(dither)
+    return stack, singles
+
+
 class TestStackedDraws:
     @pytest.mark.parametrize("n_bins, sparsity", [(16, 1), (64, 3), (256, 10), (8, 8)])
     def test_profile_rows_are_single_seed_profiles(self, n_bins, sparsity):
@@ -75,15 +96,16 @@ class TestStackedDraws:
             assert same_bits(row, reference_omega(n_bins, n_meas, seed))
 
     @pytest.mark.parametrize("bit_depth", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n_meas", [1, 7, 1000])
-    def test_dither_rows_are_single_seed_dithers(self, bit_depth, n_meas):
-        ranges = np.array([[0.1], [1.0], [3.7], [1e-9], [250.0]])
-        column = QuantizerConfig(bit_depth, ranges)
-        stack = draw_dither(column, n_meas, SEEDS)
+    @pytest.mark.parametrize(
+        "n_meas, rows",
+        [pytest.param(m, drawn_rows, id=str(m)) for m in (1, 7, 1000)]
+        + [pytest.param(m, acquired_rows, id=f"{m}-acquire") for m in (7, 1000)],
+    )
+    def test_dither_rows_are_single_seed_dithers(self, bit_depth, n_meas, rows):
+        stack, singles = rows(bit_depth, n_meas)
         assert stack.values.shape == (len(SEEDS), n_meas) and stack.seed is None
         shared = draw_dither(QuantizerConfig(bit_depth, 2.5), n_meas, SEEDS)
-        for i, seed in enumerate(SEEDS):
-            single = draw_dither(QuantizerConfig(bit_depth, ranges[i, 0]), n_meas, seed)
+        for i, (seed, single) in enumerate(zip(SEEDS, singles)):
             assert same_bits(stack.values[i], single.values) and single.seed == seed
             assert same_bits(shared.values[i], draw_dither(QuantizerConfig(bit_depth, 2.5), n_meas, seed).values)
 
