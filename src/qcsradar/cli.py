@@ -30,7 +30,7 @@ from .io import (
     write_results,
 )
 from .quantization import acquire, check_bit_depth, decode_bit_depth, encode_bit_depth
-from .recovery import ALGORITHMS, RecoveryConfig, estimate, stack_of_one
+from .recovery import ALGORITHMS, RecoveryConfig, consistency, estimate, stack_of_one
 from .seeding import derive_seed
 from .signal_model import RadarParams, RangeProfile, bin_number, bin_to_range, make_sampling_plan, random_profile
 
@@ -82,7 +82,7 @@ def _add_simulate(subparsers):
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--trials", type=int, default=None, help="override the trial count")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p.add_argument("--workers", type=positive_int, default=None, help="worker process count (default: QCS_THREADS or CPU count)")
+    p.add_argument("--workers", type=positive_int, default=None, help="worker process count (default: CPUs this process may run on)")
 
 
 def _add_ambiguity(subparsers):
@@ -202,9 +202,11 @@ def _cmd_recover(args) -> int:
     if args.sparsity > capture.plan.n_bins:
         raise ValueError(f"config: sparsity must be in [1, {capture.plan.n_bins}] for this capture, got {args.sparsity}")
     plan, dither, y = stack_of_one(capture.plan, capture.dither, capture.samples)
-    (amplitudes,), (iterations,), final, (reason,) = estimate(
-        args.algo, plan, capture.quantizer, dither, y, recovery, _pbp_consistency=True
-    )
+    (amplitudes,), (iterations,), final, (reason,) = estimate(args.algo, plan, capture.quantizer, dither, y, recovery)
+    if final is not None:
+        final = float(final[0])
+    elif capture.quantizer.quantized:  # PBP's, which estimate leaves to the caller
+        final = consistency(capture.plan, capture.quantizer, capture.dither, capture.samples, amplitudes)
 
     scene = _scene(RangeProfile(amplitudes))
     report = {
@@ -213,7 +215,7 @@ def _cmd_recover(args) -> int:
         "sparsity": args.sparsity,
         "ranges_m": [bin_to_range(capture.radar, b) for b in scene["support_bins"]],
         "iterations": int(iterations),
-        "final_consistency": None if final is None else float(final[0]),
+        "final_consistency": final,
         "stop_reason": None if reason is None else reason.value,
     }
     _emit(report, args.out)

@@ -391,10 +391,9 @@ def _aggregate(point: GridPoint, chunks) -> AggregateResult:
 
 
 def _aggregate_point(config: ExperimentConfig, point: GridPoint) -> AggregateResult:
-    """Run all trials of one point in this process, block by block."""
-    recovery = config.recovery(point.sparsity)
-    blocks = trial_blocks(config, 1)
-    return _aggregate(point, (run_block((point,), b, config.master_seed, config.n_bins, recovery)[0] for b in blocks))
+    """The point's row of ``run_grid(config, max_workers=1)``, which runs in this process."""
+    (result,) = [r for r in run_grid(config, max_workers=1) if r.point == point]
+    return result
 
 
 def sort_key(point: GridPoint) -> tuple:
@@ -409,20 +408,11 @@ def sort_key(point: GridPoint) -> tuple:
 
 
 def _resolve_workers(max_workers: Optional[int], n_tasks: int) -> int:
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    """``max_workers``, by default the CPUs this process may run on, capped by ``n_tasks``."""
     if max_workers is None:
-        max_workers = os.cpu_count() or 1
-        cap = os.environ.get("QCS_THREADS")
-        if cap is not None:
-            try:
-                value = int(cap)
-            except ValueError:
-                value = 0
-            if value >= 1:
-                max_workers = min(max_workers, value)
-            else:
-                logger.warning("ignoring QCS_THREADS=%r: not an integer >= 1", cap)
+        max_workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    elif max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     return max(1, min(max_workers, n_tasks))
 
 
@@ -478,14 +468,15 @@ def run_grid(
     a warning.  The runnable points are grouped by sparsity, and each
     group's trials split into blocks (:func:`trial_blocks`), at least one
     per worker; a task is one :func:`run_block` of one group.  The tasks run
-    on several worker processes (capped by the QCS_THREADS environment
-    variable, and by the number of sub-chunks the points run); one worker
-    runs them in this process and leaves its allocator alone.  Several run
-    them on the pool this process keeps: it starts with the first parallel
-    sweep, is rebuilt when the worker count changes or after a sweep on it
-    failed, and ends when the process exits, or with it if it is killed.
-    Under the fork start method its workers see module state as it was when
-    the pool started, not as patched since.  Per-trial
+    on ``max_workers`` worker processes, by default as many as the CPUs this
+    process may run on (its affinity mask where the platform has one, else
+    the CPU count), and never more than the number of sub-chunks the points
+    run; one worker runs them in this process and leaves its allocator
+    alone.  Several run them on the pool this process keeps: it starts with
+    the first parallel sweep, is rebuilt when the worker count changes or
+    after a sweep on it failed, and ends when the process exits, or with it
+    if it is killed.  Under the fork start method its workers see module
+    state as it was when the pool started, not as patched since.  Per-trial
     results are added up in trial order, so the aggregates are the same for
     any worker count; the output is sorted by (algorithm, dithered, bit
     depth, sparsity, bitrate).

@@ -161,11 +161,12 @@ class Capture:
     The capture validation boundary: one plan (1-D ``omega``), one finite
     sample per measurement, a bit depth a float32 payload holds, a dither
     only on a quantized capture with one finite value per measurement (what
-    its seed draws, if seeded), and the radar's ``n_bins`` equal to the
-    plan's.  A capture built in Python and one read from files meet the same
-    checks with the same messages, so no capture that cannot be read back is
-    ever written.  The samples are stored as a read-only complex128 copy, so
-    they stay as checked.
+    its seed draws, if seeded), an ``omega`` that its plan seed draws (if
+    seeded), and the radar's ``n_bins`` equal to the plan's.  A capture
+    built in Python and one read from files meet the same checks with the
+    same messages, so no capture that cannot be read back is ever written.
+    The samples are stored as a read-only complex128 copy, so they stay as
+    checked.
     """
 
     plan: SamplingPlan
@@ -178,6 +179,11 @@ class Capture:
         samples, dither = _readonly(self.samples, np.complex128), self.dither
         if self.plan.omega.ndim != 1:
             raise ValueError("a capture holds one sampling plan, not a stack")
+        # A seeded plan is written with its seed, so its omega must be what the seed draws.
+        plan = self.plan
+        drawn = None if plan.seed is None else make_sampling_plan(plan.n_bins, plan.n_meas, plan.seed)
+        if drawn is not None and not np.array_equal(drawn.omega, plan.omega):
+            raise ValueError(f"omega is not what its plan seed {plan.seed} draws")
         if samples.shape != (self.plan.n_meas,):
             raise ValueError(f"sample count {samples.shape} does not match n_meas={self.plan.n_meas}")
         check_capture_bit_depth(self.quantizer.bit_depth)

@@ -169,13 +169,13 @@ def consistency(
     y = np.asarray(measurements, dtype=np.complex128)
     if y.shape != (plan.n_meas,):
         raise ValueError(f"measurement length {y.shape} does not match n_meas={plan.n_meas}")
-    return float(np.mean(sense(plan, config, dither, estimate) == y))
+    return float(_scores(y, sense(plan, config, dither, estimate), quantized=True))
 
 
 def _scores(y: np.ndarray, y_hat: np.ndarray, quantized: bool) -> np.ndarray:
-    """Per-row QIHT stopping score: consistency, or minus the residual norm."""
+    """Per-row QIHT stopping score: consistency (of one row or of each), or minus the residual norm."""
     if quantized:
-        return (y_hat == y).sum(axis=1) / y.shape[1]
+        return (y_hat == y).sum(axis=-1) / y.shape[-1]
     # One 1-D norm per row: an ``axis=`` norm sums in another order, and the
     # stop rule compares scores for exact equality.
     return np.array([-float(np.linalg.norm(r)) for r in y - y_hat])
@@ -330,18 +330,15 @@ def stack_of_one(plan: SamplingPlan, dither: Optional[Dither], measurements: np.
 
 
 def estimate(algorithm: str, plan: SamplingPlan, config: QuantizerConfig, dither: Optional[Dither],
-             measurements: np.ndarray, recovery: RecoveryConfig, *, _pbp_consistency: bool = False) -> tuple:
+             measurements: np.ndarray, recovery: RecoveryConfig) -> tuple:
     """PBP or QIHT on (T, M) measurements, returning what :func:`qiht_batch` does.
 
-    PBP runs 0 iterations with None stop reasons; its final consistency costs one more :func:`sense`,
-    so it is None unless ``_pbp_consistency`` asks for it on quantized measurements.
+    PBP runs 0 iterations with None stop reasons and a None final consistency: that costs one more
+    :func:`sense`, which a caller that wants it pays through :func:`consistency`.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     if algorithm == "qiht":
         return qiht_batch(plan, config, dither, measurements, recovery)
     estimates = pbp(plan, measurements, recovery.sparsity)
-    final = None
-    if _pbp_consistency and config.quantized:
-        final = _scores(np.asarray(measurements), sense(plan, config, dither, estimates), quantized=True)
-    return estimates, np.zeros(len(estimates), dtype=int), final, [None] * len(estimates)
+    return estimates, np.zeros(len(estimates), dtype=int), None, [None] * len(estimates)

@@ -171,6 +171,17 @@ class TestRecover:
         assert code == 1 and stdout == ""
         assert stderr.startswith("error: capture:") and stderr.count("\n") == 1
 
+    def test_plan_seed_that_does_not_draw_omega_rejected(self, tmp_path, capsys):
+        # Read back, it would be written out again with the wrong seed.
+        out = tmp_path / "cap.iq"
+        run_cli(capsys, "gen-capture", "--out", str(out), "--n", "64", "--meas", "200", "--seed", "3")
+        sidecar = json.loads((tmp_path / "cap.iq.json").read_text())
+        wrong = sidecar["plan_seed"] + 1
+        (tmp_path / "cap.iq.json").write_text(json.dumps(dict(sidecar, plan_seed=wrong)))
+        code, stdout, stderr = run_cli(capsys, "recover", "--capture", str(out), "--sparsity", "2")
+        assert code == 1 and stdout == ""
+        assert stderr == f"error: capture: omega is not what its plan seed {wrong} draws\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

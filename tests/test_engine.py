@@ -36,7 +36,7 @@ from qcsradar.evaluation import (
 )
 from qcsradar.quantization import Dither, QuantizerConfig, adapted_quantizer, draw_dither, quantize_complex, sense
 from qcsradar.recovery import (
-    RecoveryConfig, RecoveryResult, StopReason, _scores, consistency, estimate, hard_threshold, pbp, qiht, qiht_batch,
+    RecoveryConfig, RecoveryResult, StopReason, _scores, estimate, hard_threshold, pbp, qiht, qiht_batch,
 )
 from qcsradar.signal_model import SamplingPlan, adjoint, forward, make_sampling_plan, random_profile
 
@@ -118,18 +118,16 @@ class TestBatchedKernels:
 
 
 def single_pbp(plan, quantizer, dither, y, recovery):
-    """One PBP trial as ``estimate`` reports it, when asked for the final consistency."""
-    profile = pbp(plan, y, recovery.sparsity)
-    final = consistency(plan, quantizer, dither, y, profile) if quantizer.quantized else None
-    return RecoveryResult(profile, 0, final, None)
+    """One PBP trial as ``estimate`` reports it: no iterations, no final consistency, no stop reason."""
+    return RecoveryResult(pbp(plan, y, recovery.sparsity), 0, None, None)
 
 
 # The stacked runs checked row by row against single trials: qiht_batch, and
-# estimate with either algorithm (PBP with its final consistency).
+# estimate with either algorithm (PBP's final consistency is None, not an array).
 BATCHES = {
     "qiht_batch": (qiht_batch, qiht),
     "estimate-qiht": (lambda *args: estimate("qiht", *args), qiht),
-    "estimate-pbp": (lambda *args: estimate("pbp", *args, _pbp_consistency=True), single_pbp),
+    "estimate-pbp": (lambda *args: estimate("pbp", *args), single_pbp),
 }
 
 

@@ -181,16 +181,14 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="max_workers"):
             run_grid(config, max_workers=workers)
 
-    @pytest.mark.parametrize("ignored", ["0", "-3", "junk"])
-    def test_worker_cap_from_environment(self, monkeypatch, caplog, ignored):
-        monkeypatch.setenv("QCS_THREADS", "1")
-        assert _resolve_workers(None, 8) == 1
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
-        monkeypatch.setenv("QCS_THREADS", ignored)
-        with caplog.at_level(logging.WARNING, logger="qcsradar.evaluation"):
-            assert _resolve_workers(None, 8) == 4
-        assert "ignoring" in caplog.text and f"QCS_THREADS={ignored!r}" in caplog.text
-        monkeypatch.delenv("QCS_THREADS")
+    def test_default_worker_count_follows_affinity(self, monkeypatch):
+        # The CPUs this process may run on, not the machine's; patched, so no pool starts.
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert _resolve_workers(None, 16) == 3
+        assert _resolve_workers(None, 2) == 2  # capped by the sub-chunk count
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)  # a platform without affinity masks
+        assert _resolve_workers(None, 16) == 8
         assert _resolve_workers(4, 2) == 2
 
 
