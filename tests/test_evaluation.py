@@ -191,6 +191,19 @@ class TestRunGrid:
         assert _resolve_workers(None, 16) == 8
         assert _resolve_workers(4, 2) == 2
 
+    @pytest.mark.parametrize("ignored", ["0", "-3", "junk"])
+    def test_worker_cap_from_environment(self, monkeypatch, caplog, ignored):
+        # QCS_THREADS is no longer a setting: neither a valid nor an invalid value
+        # changes the default count, and none is warned about.
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        for value in ("1", ignored):
+            monkeypatch.setenv("QCS_THREADS", value)
+            with caplog.at_level(logging.WARNING, logger="qcsradar.evaluation"):
+                assert _resolve_workers(None, 8) == 4
+        assert "QCS_THREADS" not in caplog.text
+        assert _resolve_workers(4, 2) == 2
+
 
 class TestStreamingAggregation:
     def test_peak_memory_independent_of_trial_count(self):
