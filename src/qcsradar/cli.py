@@ -29,7 +29,7 @@ from .io import (
     write_capture,
     write_results,
 )
-from .quantization import acquire, check_bit_depth, decode_bit_depth, encode_bit_depth
+from .quantization import Dither, acquire, check_bit_depth, decode_bit_depth, encode_bit_depth
 from .recovery import ALGORITHMS, RecoveryConfig, consistency, estimate, stack_of_one
 from .seeding import derive_seed
 from .signal_model import RadarParams, RangeProfile, bin_number, bin_to_range, make_sampling_plan, random_profile
@@ -104,9 +104,10 @@ def _add_recover(subparsers):
     p.add_argument("--capture", required=True, help="capture payload path (sidecar at <path>.json)")
     p.add_argument("--algo", choices=ALGORITHMS, default="qiht")
     p.add_argument("--sparsity", type=int, required=True, help="number of targets K")
-    p.add_argument("--mu", type=float, default=1.0, help="QIHT step size")
-    p.add_argument("--max-iters", type=int, default=None, help="QIHT iteration budget (default max(20, 100K))")
-    p.add_argument("--target", type=float, default=0.95, help="QIHT consistency stop target")
+    p.add_argument("--mu", type=float, default=RecoveryConfig.step_size, help="QIHT step size")
+    p.add_argument("--max-iters", type=int, default=RecoveryConfig.max_iters,
+                   help="QIHT iteration budget (default max(20, 100K))")
+    p.add_argument("--target", type=float, default=RecoveryConfig.consistency_target, help="QIHT consistency stop target")
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
 
@@ -119,7 +120,8 @@ def _add_gen_capture(subparsers):
     p.add_argument("--dithered", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--sparsity", type=int, default=2, help="number of targets K")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--store-dither-values", action="store_true", help="embed dither values instead of the seed")
+    p.add_argument("--store-dither-values", dest="dither_values", action="store_true",
+                   help="embed dither values instead of the seed")
     p.add_argument("--f0", type=float, default=24.125e9, help="carrier frequency (Hz)")
     p.add_argument("--bandwidth", type=float, default=150e6, help="ramp bandwidth (Hz)")
     p.add_argument("--ramp-duration", type=float, default=1e-3, help="ramp duration (s)")
@@ -231,8 +233,10 @@ def _cmd_gen_capture(args) -> int:
         profile = random_profile(args.n, args.sparsity, derive_seed(args.seed, "capture-profile"))
         plan = make_sampling_plan(args.n, args.meas, derive_seed(args.seed, "capture-plan"))
     quantizer, dither, samples = acquire(plan, args.bits, args.dithered, derive_seed(args.seed, "capture-dither"), profile)
+    if args.dither_values and dither is not None:  # an unseeded dither is written as its values
+        dither = Dither(dither.values)
     capture = Capture(plan=plan, quantizer=quantizer, dither=dither, samples=samples, radar=radar)
-    sidecar = write_capture(args.out, capture, store_dither_values=args.store_dither_values)
+    sidecar = write_capture(args.out, capture)
 
     report = {
         **_scene(profile),

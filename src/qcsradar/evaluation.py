@@ -160,9 +160,9 @@ class ExperimentConfig:
     algorithm: str = "pbp"
     trials: int = 2000
     master_seed: int = 0
-    mu: float = 1.0
-    consistency_target: float = 0.95
-    max_iters: Optional[int] = None
+    mu: float = RecoveryConfig.step_size
+    consistency_target: float = RecoveryConfig.consistency_target
+    max_iters: Optional[int] = RecoveryConfig.max_iters
 
     def __post_init__(self):
         # The types first, as a config file spells them (a tuple passes for a list).
@@ -321,29 +321,21 @@ def _run_rows(point, truth, spectrum, peaks, plan_seeds, dither_seeds, recovery)
     )
 
 
-def run_trials(
-    point: GridPoint,
-    trial_indices,
-    master_seed: int,
-    *,
-    n_bins: int = 256,
-    mu: float = 1.0,
-    consistency_target: float = 0.95,
-    max_iters: Optional[int] = None,
-) -> TrialOutcomes:
+def run_trials(point: GridPoint, trial_indices, master_seed: int, *, n_bins: int = 256) -> TrialOutcomes:
     """Execute seeded trials of the grid point: a :func:`run_block` of one point.
 
     Each trial draws its profile, plan, and dither from its own sub-seeds of
     ``master_seed`` (:func:`trial_seeds`), gets its own range-adapted
-    quantizer, and is scored for support recovery and l2 error.
+    quantizer, and is scored for support recovery and l2 error.  QIHT runs
+    at the default settings, ``RecoveryConfig(point.sparsity)``; other
+    settings go through :func:`run_block`.
     """
-    recovery = RecoveryConfig(point.sparsity, mu, max_iters, consistency_target)
-    return run_block((point,), trial_indices, master_seed, n_bins, recovery)[0]
+    return run_block((point,), trial_indices, master_seed, n_bins, RecoveryConfig(point.sparsity))[0]
 
 
-def run_trial(point: GridPoint, trial_index: int, master_seed: int, **options) -> TrialOutcomes:
+def run_trial(point: GridPoint, trial_index: int, master_seed: int, *, n_bins: int = 256) -> TrialOutcomes:
     """Execute one seeded trial of the grid point: a batch of one, as (1,) arrays."""
-    return run_trials(point, [trial_index], master_seed, **options)
+    return run_trials(point, [trial_index], master_seed, n_bins=n_bins)
 
 
 def point_is_runnable(point: GridPoint) -> tuple:

@@ -212,18 +212,18 @@ def _sidecar_path(path) -> str:
     return f"{path}.json"
 
 
-def write_capture(path, capture: Capture, *, store_dither_values: bool = False) -> str:
+def write_capture(path, capture: Capture) -> str:
     """Write payload and sidecar; returns the sidecar path.
 
-    Only encodes: the capture passed its checks when it was built.  The
-    dither is stored as its seed plus step by default (regenerable);
-    ``store_dither_values`` embeds the explicit values instead, for rigs
-    where the physical dither was recorded rather than synthesized.
+    Only encodes: the capture passed its checks when it was built.  A seeded
+    dither is stored as its seed plus step (regenerable), an unseeded one
+    as its values: a rig that recorded its physical dither rather than
+    synthesizing it builds its capture with an unseeded one.
     """
     plan = capture.plan
     dither_field = None
     if capture.dither is not None:
-        if store_dither_values or capture.dither.seed is None:
+        if capture.dither.seed is None:
             dither_field = {"values": capture.dither.values.view(np.float64).reshape(-1, 2).tolist()}
         else:
             dither_field = {

@@ -134,9 +134,8 @@ def hard_threshold(values: np.ndarray, sparsity: int, out: Optional[np.ndarray] 
         places = sparsity - np.count_nonzero(kept, axis=1, keepdims=True)
         kept |= ties & (np.cumsum(ties, axis=1) <= places)
         keep[slow] = kept
-    if out is None:
-        return np.where(keep, rows, 0).reshape(v.shape)
-    kept_out = _output(out, v.shape).reshape(-1, n)
+    out = _output(out, v.shape)
+    kept_out = out.reshape(-1, n)
     np.copyto(kept_out, rows, where=keep)
     np.copyto(kept_out, 0, where=np.logical_not(keep, out=keep))
     return out
@@ -255,7 +254,7 @@ def qiht_batch(
         # Perfect consistency is a fixed point (the update vanishes), so it
         # stops at once; the other rules wait for MIN_STOP_ITERS.
         if quantized:
-            done = (score == 1.0) | (score >= recovery.consistency_target) if late else score == 1.0
+            done = score >= (recovery.consistency_target if late else 1.0)
         else:
             done = score == 0.0 if late or j == 0 else np.zeros(len(rows), dtype=bool)
         stopped = done | (score < prev_score) if late else done

@@ -75,10 +75,11 @@ def _readonly(value, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadarParams:
-    """Physical ramp parameters; used only for bin <-> meter conversion.
+    """Physical ramp parameters; only ``bandwidth`` (with ``n_bins``) enters bin <-> meter conversion.
 
     f0: carrier frequency (Hz); bandwidth: swept bandwidth B (Hz);
     ramp_duration: duration of one ramp T (s); n_bins: samples per ramp N.
+    ``f0`` and ``ramp_duration`` are only recorded and checked.
     """
 
     f0: float

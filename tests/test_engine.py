@@ -171,6 +171,20 @@ class TestBatchedQiht:
         assert set(reasons) == set(StopReason)
         assert max(iterations) == 30 and min(iterations) < 20  # budget and early perfect consistency
 
+    @pytest.mark.parametrize("dithered", [True, False], ids=["dithered", "undithered"])
+    def test_callers_arrays_unchanged_when_rows_stop_apart(self, dithered):
+        # Stopped rows make room by moving running rows: in the batch's own arrays, never in the caller's.
+        *_, plan, stacked, dither, y = stacked_chunk(32, 32, 3, 1, range(12), dithered)
+        assert y.flags.writeable
+
+        def inputs():
+            return y.tobytes(), None if dither is None else dither.values.tobytes()
+
+        before = inputs()
+        _, iterations, _, _ = qiht_batch(plan, stacked, dither, y, RecoveryConfig(sparsity=3, max_iters=30))
+        assert len(set(iterations.tolist())) > 2
+        assert inputs() == before
+
     def test_unquantized_score_is_the_one_dimensional_norm_of_each_row(self):
         # An ``axis=`` norm differs from the 1-D norm in the last bits for
         # about a quarter of rows, which can flip the stop rule's comparisons.
@@ -313,11 +327,10 @@ class TestChunkedGrid:
     def test_any_split_into_blocks_equals_run_trials(self, trials, data):
         cuts = sorted(data.draw(st.sets(st.integers(1, trials - 1), max_size=4)) if trials > 1 else [])
         bounds = [0, *cuts, trials]
-        options = dict(n_bins=32, max_iters=15)
         recovery = evaluation.RecoveryConfig(3, max_iters=15)
         blocks = [run_block(BLOCK_POINTS, range(lo, hi), 4, 32, recovery) for lo, hi in zip(bounds, bounds[1:])]
         for i, point in enumerate(BLOCK_POINTS):
-            want = run_trials(point, range(trials), 4, **options)
+            (want,) = run_block((point,), range(trials), 4, 32, recovery)  # run_trials with this budget
             for field in TrialOutcomes._fields:
                 got = np.concatenate([getattr(block[i], field) for block in blocks])
                 assert got.dtype == getattr(want, field).dtype

@@ -53,7 +53,7 @@ def test_gen_capture_writes_golden_bytes(tmp_path, capsys, stem, flags):
 def test_read_then_write_reproduces_golden_bytes(tmp_path, stem):
     capture = read_capture(GOLDEN / f"{stem}.iq")
     out = tmp_path / f"{stem}.iq"
-    write_capture(out, capture, store_dither_values=stem == "1bit_dither_values")
+    write_capture(out, capture)
     assert_same_files(out, stem)
 
 
@@ -87,7 +87,7 @@ def test_stored_values_keep_every_bit(tmp_path):
     assert math.copysign(1.0, capture.dither.values[1].imag) == -1.0
 
     again = tmp_path / "again.iq"
-    write_capture(again, capture, store_dither_values=True)
+    write_capture(again, capture)
     assert (tmp_path / "again.iq.json").read_text() == text
 
 

@@ -143,7 +143,7 @@ class TestWriteResults:
             write_results([], tmp_path / "e.csv")
 
 
-def _make_capture(seed=0, bit_depth=1, dithered=True, n=32, m=64):
+def _make_capture(seed=0, bit_depth=1, dithered=True, n=32, m=64, stored_values=False):
     plan = make_sampling_plan(n, m, seed=derive_seed(seed, "plan"))
     profile = random_profile(n, 2, rng=derive_seed(seed, "prof"))
     raw = forward(plan, profile)
@@ -154,6 +154,8 @@ def _make_capture(seed=0, bit_depth=1, dithered=True, n=32, m=64):
         else None
     )
     samples = sense(plan, quantizer, dither, profile)
+    if stored_values and dither is not None:  # unseeded, as a recorded dither is: written as its values
+        dither = Dither(dither.values)
     return Capture(plan=plan, quantizer=quantizer, dither=dither, samples=samples, radar=RADAR), profile
 
 
@@ -171,9 +173,9 @@ class TestCaptureRoundTrip:
         assert back.radar == capture.radar
 
     def test_dither_values_form_round_trip(self, tmp_path):
-        capture, _ = _make_capture(seed=2)
+        capture, _ = _make_capture(seed=2, stored_values=True)
         path = tmp_path / "c.iq"
-        write_capture(path, capture, store_dither_values=True)
+        write_capture(path, capture)
         back = read_capture(path)
         np.testing.assert_array_equal(back.dither.values, capture.dither.values)
         assert back.dither.seed is None
@@ -228,9 +230,9 @@ class TestCaptureRoundTrip:
     @pytest.mark.parametrize("store_values", [False, True])
     def test_dither_on_unquantized_sidecar_rejected(self, tmp_path, store_values):
         # A seed is not drawn without a grid: Capture's message, not the draw's, is reported.
-        capture, _ = _make_capture(seed=16)
+        capture, _ = _make_capture(seed=16, stored_values=store_values)
         path = tmp_path / "c.iq"
-        write_capture(path, capture, store_dither_values=store_values)
+        write_capture(path, capture)
         sidecar = json.loads((tmp_path / "c.iq.json").read_text())
         (tmp_path / "c.iq.json").write_text(json.dumps(dict(sidecar, bit_depth="unquantized")))
         with pytest.raises(ValueError, match="^capture: unquantized capture cannot carry a dither$"):
@@ -344,11 +346,11 @@ def test_round_trip_property(tmp_path):
         seed=st.integers(0, 1000),
     )
     def check(bit_depth, dithered, store_values, seeded_plan, m, seed):
-        capture, _ = _make_capture(seed=seed, bit_depth=bit_depth, dithered=dithered, m=m)
+        capture, _ = _make_capture(seed=seed, bit_depth=bit_depth, dithered=dithered, m=m, stored_values=store_values)
         if not seeded_plan:
             plan = capture.plan
             capture = dataclasses.replace(capture, plan=SamplingPlan(plan.n_bins, plan.n_meas, plan.omega, None))
-        write_capture(first, capture, store_dither_values=store_values)
+        write_capture(first, capture)
         back = read_capture(first)
         np.testing.assert_array_equal(back.plan.omega, capture.plan.omega)
         assert back.plan.seed == capture.plan.seed
@@ -357,11 +359,11 @@ def test_round_trip_property(tmp_path):
             assert back.dither is None
         else:
             assert back.dither.values.tobytes() == capture.dither.values.tobytes()
-            assert back.dither.seed == (None if store_values else capture.dither.seed)
+            assert back.dither.seed == capture.dither.seed
         stored = capture.samples if bit_depth is not None else capture.samples.astype(np.complex64)
         assert back.samples.tobytes() == stored.astype(np.complex128).tobytes()
         assert back.radar == capture.radar
-        write_capture(second, back, store_dither_values=store_values)
+        write_capture(second, back)
         for suffix in ("", ".json"):
             assert Path(f"{first}{suffix}").read_bytes() == Path(f"{second}{suffix}").read_bytes()
 
