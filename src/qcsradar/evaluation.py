@@ -79,14 +79,18 @@ MEAS_RANGE = (2**3, 2**13)
 
 # Most rows x columns (trials x max(M, N)) one sub-chunk of trials holds, and
 # most profile values (trials x N) one block holds: larger chunks amortize
-# more per-call overhead but grow each worker's working set.
-CHUNK_ELEMENTS = 2**15
+# more per-call overhead but grow each worker's working set.  At 2**16 a
+# 100-trial QIHT block at M=512 runs as one sub-chunk; at 2**17 a whole
+# 200-trial grid of that point would fit one sub-chunk, and so run in the
+# calling process alone.
+CHUNK_ELEMENTS = 2**16
 
 # The mallopt values a pool worker sets (glibc only, :func:`_worker.keep_heap`).
 # Arrays up to twice a chunk's largest (one complex128 stack of
-# CHUNK_ELEMENTS values, 512 KiB) come from the heap rather than from mmap,
-# and the heap is trimmed only above 16 MiB, beyond a block's peak (4 to
-# 5 MiB at N=256: its profiles and spectrum, and one sub-chunk), so a
+# CHUNK_ELEMENTS values, 1 MiB) come from the heap rather than from mmap,
+# and the heap is trimmed only above 16 MiB, beyond a block's peak (a full
+# block at N=256, its profiles and spectrum and one sub-chunk, peaks at 4.7
+# to 6.1 MiB under PBP and 7.7 to 10.2 MiB under QIHT, by tracemalloc), so a
 # worker's next sub-chunk reuses pages it has already touched.
 _WORKER_MMAP_THRESHOLD = 2 * 16 * CHUNK_ELEMENTS
 _WORKER_TRIM_THRESHOLD = 16 * 2**20

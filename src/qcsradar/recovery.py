@@ -122,7 +122,7 @@ def hard_threshold(values: np.ndarray, sparsity: int, out: Optional[np.ndarray] 
     np.negative(rank, out=rank)
     kth = np.partition(rank, sparsity - 1, axis=1)[:, sparsity - 1 : sparsity]
     keep = rank <= kth  # all False where the K-th rank is NaN
-    slow = np.count_nonzero(keep, axis=1) != sparsity
+    slow = keep.sum(axis=1) != sparsity
     if slow.any():
         # Ties at the K-th rank, or fewer than K numbers: rank NaN as +inf,
         # keep the bins strictly above the K-th, then the lowest-index ties.
@@ -136,8 +136,12 @@ def hard_threshold(values: np.ndarray, sparsity: int, out: Optional[np.ndarray] 
         keep[slow] = kept
     out = _output(out, v.shape)
     kept_out = out.reshape(-1, n)
-    np.copyto(kept_out, rows, where=keep)
-    np.copyto(kept_out, 0, where=np.logical_not(keep, out=keep))
+    if np.may_share_memory(kept_out, rows):  # in place: zero only the bins not kept
+        np.copyto(kept_out, rows, where=keep)
+        np.copyto(kept_out, 0, where=np.logical_not(keep, out=keep))
+    else:
+        kept_out.fill(0)
+        np.copyto(kept_out, rows, where=keep)
     return out
 
 
@@ -174,7 +178,10 @@ def consistency(
 def _scores(y: np.ndarray, y_hat: np.ndarray, quantized: bool) -> np.ndarray:
     """Per-row QIHT stopping score: consistency (of one row or of each), or minus the residual norm."""
     if quantized:
-        return (y_hat == y).sum(axis=-1) / y.shape[-1]
+        # A measurement matches when both of its float64 parts do: its pair of
+        # bools, read as one uint16, is 0x0101.  The views need contiguous rows.
+        parts = np.equal(np.ascontiguousarray(y).view(np.float64), y_hat.view(np.float64))
+        return (parts.view(np.uint16) == 0x0101).sum(axis=-1) / y.shape[-1]
     # One 1-D norm per row: an ``axis=`` norm sums in another order, and the
     # stop rule compares scores for exact equality.
     return np.array([-float(np.linalg.norm(r)) for r in y - y_hat])
@@ -249,7 +256,7 @@ def qiht_batch(
             if better.any():
                 np.copyto(best, current, where=better[:, None])
                 best_score = np.where(better, score, best_score)
-                best_match = np.where(better, match, best_match)
+                best_match = best_score if quantized else np.where(better, match, best_match)
         late = j >= MIN_STOP_ITERS
         # Perfect consistency is a fixed point (the update vanishes), so it
         # stops at once; the other rules wait for MIN_STOP_ITERS.

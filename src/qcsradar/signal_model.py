@@ -278,14 +278,22 @@ def adjoint(plan: SamplingPlan, measurements: np.ndarray, out: Optional[np.ndarr
     if y.shape != plan.omega.shape:
         raise ValueError(f"measurement length {y.shape} does not match n_meas={plan.n_meas}")
     out = _output(out, y.shape[:-1] + (plan.n_bins,))
+    if np.may_share_memory(out, y):  # the sums go into out before the last measurements are read
+        y = y.copy()
     # The whole ramps, added one after another onto 0.0, over their float64 parts: at N = 1 a
     # complex reduction axis would be innermost, and numpy sums an innermost axis pairwise.
-    spectrum = np.add.reduce(_ramp_view(plan, y).view(np.float64), axis=-2, initial=0.0).view(np.complex128)
+    np.add.reduce(_ramp_view(plan, y).view(np.float64), axis=-2, initial=0.0, out=out.view(np.float64))
     if plan._flat.shape[-1]:
         rest = y[..., plan._ramps * plan.n_bins :]
-        np.add.at(spectrum.reshape(-1), plan._flat.reshape(-1), rest.reshape(-1))
-    # re + 1j * im, as the spectrum of two real sums has always been combined.
-    np.add(spectrum.real, np.multiply(1j, spectrum.imag, out=out), out=out)
+        np.add.at(out.reshape(-1), plan._flat.reshape(-1), rest.reshape(-1))
+    # Each bin's bytes are those of re + 1j * im over its two real sums.  On a finite imaginary
+    # part that is the identity (sums from +0.0 are never -0.0), so it takes no pass of its own;
+    # where the imaginary part is not finite it makes the real part a NaN whose sign bit the
+    # transform carries, so only those bins are combined that way.
+    finite = np.isfinite(out.imag)
+    if not finite.all():
+        odd = ~finite
+        out[odd] = np.add(out.real[odd], np.multiply(1j, out.imag[odd]))
     np.fft.ifft(out, out=out)
     return np.multiply(plan.n_bins, out, out=out)
 

@@ -251,10 +251,13 @@ BLOCK_POINTS = (
 
 class TestChunkedGrid:
     def test_chunks_cover_trials_within_the_budget(self, monkeypatch):
-        config = ExperimentConfig(n_bins=64, bitrates=(2048, 8192), trials=1100)
+        # Two full blocks and a partial one at N=64 (1100 trials at 2**15), and
+        # a block of several sub-chunks at each point (21 trials at 2**15).
+        trials = 2 * (CHUNK_ELEMENTS // 64) + 76
+        config = ExperimentConfig(n_bins=64, bitrates=(2048, 8192), trials=trials)
         for workers in (1, 2, 3):
             blocks = trial_blocks(config, workers)
-            assert [t for b in blocks for t in b] == list(range(1100))
+            assert [t for b in blocks for t in b] == list(range(trials))
             assert len(blocks) >= workers and max(len(b) for b in blocks) * 64 <= CHUNK_ELEMENTS
             assert max(len(b) for b in blocks) - min(len(b) for b in blocks) <= 1
         assert len(trial_blocks(ExperimentConfig(trials=3), 8)) == 3
@@ -266,7 +269,7 @@ class TestChunkedGrid:
             return run_rows(point, truth, *args)
 
         monkeypatch.setattr(evaluation, "_run_rows", recording_run_rows)
-        block = range(100, 121)
+        block = range(100, 105 + CHUNK_ELEMENTS // 2048)
         run_block(config.grid_points(), block, 0, 64, config.recovery(2))
         for point in config.grid_points():
             sizes = [n for p, n in rows if p == point]
@@ -317,10 +320,26 @@ class TestChunkedGrid:
             return draw(n_bins, sparsity, seeds)
 
         monkeypatch.setattr(evaluation, "random_profile", counting_draw)
-        config = ExperimentConfig(sparsities=(2, 10), bitrates=(64, 512, 8192), trials=300)
+        # Three blocks' worth of trials at N=256, each above two thirds of the
+        # most a block holds (100 of 128 at 2**15), make 3 blocks per sparsity.
+        block = CHUNK_ELEMENTS // 256 * 25 // 32
+        config = ExperimentConfig(sparsities=(2, 10), bitrates=(64, 512, 8192), trials=3 * block)
         run_grid(config, max_workers=1)
-        # 300 trials at N=256 make 3 blocks (at most 128 trials each) per sparsity.
-        assert calls == [(2, 100)] * 3 + [(10, 100)] * 3
+        assert calls == [(2, block)] * 3 + [(10, block)] * 3
+
+    @pytest.mark.parametrize("algorithm", ["pbp", "qiht"])
+    def test_rows_do_not_depend_on_the_chunk_size(self, monkeypatch, algorithm):
+        # At 2**13 a block holds 32 trials and an M=8192 sub-chunk one; at
+        # 2**17 one block and one sub-chunk hold all 40 trials.
+        config = ExperimentConfig(
+            sparsities=(2, 10), bit_depths=(1, 2), bitrates=(1024, 8192), algorithm=algorithm, trials=40,
+            master_seed=6,
+        )
+        rows = []
+        for elements in (2**13, 2**15, 2**17):
+            monkeypatch.setattr(evaluation, "CHUNK_ELEMENTS", elements)
+            rows.append([vars(r) for r in run_grid(config, max_workers=1)])
+        assert rows[0] == rows[1] == rows[2]
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(trials=st.integers(1, 20), data=st.data())

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from qcsradar.evaluation import (
+    CHUNK_ELEMENTS,
     ExperimentConfig,
     GridPoint,
     point_is_runnable,
+    run_block,
     run_grid,
     run_trial,
     run_trials,
     trial_seeds,
     _resolve_workers,
 )
+from qcsradar.recovery import RecoveryConfig
 
 
 class TestGridPoint:
@@ -223,8 +226,11 @@ class TestStreamingAggregation:
             tracemalloc.stop()
             return peak
 
-        small = peak_for(20)
-        large = peak_for(200)
+        # One sub-chunk of M=1024 trials (20 at 2**15), and ten times as many,
+        # which take more than one block.
+        trials = 5 * (CHUNK_ELEMENTS // 1024) // 8
+        small = peak_for(trials)
+        large = peak_for(10 * trials)
         assert large < 2 * small
 
     @pytest.mark.parametrize("n_meas, trials", [(8192, 4), (1024, 32)])
@@ -255,6 +261,23 @@ class TestStreamingAggregation:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak <= bound_kib * 1024
+
+    @pytest.mark.parametrize("n_meas", [16, 512, 8192])
+    def test_qiht_sub_chunk_peak_within_ten_stacks(self, n_meas):
+        # A full sub-chunk of QIHT trials, drawn with its block's profiles,
+        # peaks under ten complex stacks of T x max(M, N) (measured: 9.4 at
+        # M=16, 9.1 at M=512, 5.7 at M=8192).
+        import tracemalloc
+
+        trials = CHUNK_ELEMENTS // max(n_meas, 256)
+        point = GridPoint(10, 1, n_meas, True, "qiht")
+        recovery = RecoveryConfig(10, max_iters=25)
+        run_block((point,), range(trials), 0, 256, recovery)  # first-call allocations
+        tracemalloc.start()
+        run_block((point,), range(trials), 0, 256, recovery)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= 10 * trials * max(n_meas, 256) * 16
 
 
 class TestProtocolProperties:

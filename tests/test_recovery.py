@@ -13,10 +13,13 @@ from qcsradar.recovery import (
     hard_threshold,
     pbp,
     qiht,
+    stack_of_one,
 )
+from qcsradar.recovery import estimate as estimate_rows
 from qcsradar.seeding import derive_seed
 from qcsradar.signal_model import (
     RangeProfile,
+    SamplingPlan,
     adjoint,
     forward,
     make_sampling_plan,
@@ -102,6 +105,9 @@ class TestHardThresholdByPartition:
             assert hard_threshold(rows, k, out=out) is out and out.tobytes() == want
             inplace = rows.copy()
             assert hard_threshold(inplace, k, out=inplace).tobytes() == want
+            inplace = rows.copy()
+            hard_threshold(inplace[2], k, out=inplace[2])  # one row of a stack, written over itself
+            assert inplace[2].tobytes() == want[2 * 32 * 16 : 3 * 32 * 16]
 
     def test_nan_row_keeps_its_numbers_then_its_lowest_nans(self):
         nan = complex(np.nan, 0.0)
@@ -302,3 +308,43 @@ class TestRecoveryConfig:
             RecoveryConfig(sparsity=1, max_iters=0)
         with pytest.raises(ValueError):
             RecoveryConfig(sparsity=1, consistency_target=0.0)
+
+
+class TestStridedAndAliasedInput:
+    """Strided measurements, and an adjoint written over its measurements, give the bytes of contiguous, separate arrays."""
+
+    def test_strided_measurements(self):
+        plan, _, quantizer, dither, y = _quantized_instance(4, n=16, k=2, m=40)
+        big = np.empty(2 * len(y), complex)
+        big[::2], big[1::2] = y, np.nan
+        strided = big[::2]
+        assert not strided.flags.c_contiguous
+        estimate = pbp(plan, y, 2)
+        assert consistency(plan, quantizer, dither, strided, estimate) == consistency(plan, quantizer, dither, y, estimate)
+        recovery = RecoveryConfig(2, max_iters=30)
+        got, want = qiht(plan, quantizer, dither, strided, recovery), qiht(plan, quantizer, dither, y, recovery)
+        assert got.estimate.amplitudes.tobytes() == want.estimate.amplitudes.tobytes()
+        assert (got.iterations_run, got.final_consistency, got.stop_reason) == (
+            want.iterations_run, want.final_consistency, want.stop_reason)
+        stacked_plan, stacked_dither, rows = stack_of_one(plan, dither, y)
+        wide = np.empty((1, 2 * len(y)), complex)
+        wide[:, ::2] = rows
+        got, want = (estimate_rows("qiht", stacked_plan, quantizer, stacked_dither, meas, recovery)
+                     for meas in (wide[:, ::2], rows))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert (got[1].tolist(), got[2].tolist(), got[3]) == (want[1].tolist(), want[2].tolist(), want[3])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("ramp", ["whole", "permuted"])
+    def test_adjoint_out_may_be_the_measurements(self, ramp):
+        # M == N: one whole ramp, or a permutation of the bins that holds none.
+        rng = np.random.default_rng(9)
+        n, t = 16, 5
+        omega = np.stack([np.arange(n) if ramp == "whole" else rng.permutation(n) for _ in range(t)])
+        plan = SamplingPlan(n, n, omega, None)
+        y = rng.normal(size=(t, n)) + 1j * rng.normal(size=(t, n))
+        y[0, ::3] = complex(1.0, np.inf)
+        y[1, 1::4] = complex(np.nan, -2.0)
+        want = adjoint(plan, y).tobytes()
+        inplace = y.copy()
+        assert adjoint(plan, inplace, out=inplace) is inplace and inplace.tobytes() == want
