@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .ambiguity import ambiguity_report
-from .evaluation import run_grid
+from .evaluation import ExperimentConfig, run_grid
 from .io import (
     Capture,
     check_capture_bit_depth,
@@ -87,7 +87,7 @@ def _add_simulate(subparsers):
 
 def _add_ambiguity(subparsers):
     p = subparsers.add_parser("ambiguity", help="demonstrate quantization ambiguity and its removal by dither")
-    p.add_argument("--n", type=int, default=256, help="number of range bins")
+    p.add_argument("--n", type=int, default=ExperimentConfig.n_bins, help="number of range bins")
     p.add_argument("--n0", type=int, default=64, help="range bin of the unit target")
     p.add_argument("--n1", type=int, default=10, help="range bin of the weak second target")
     p.add_argument("--psi0", type=float, default=float(np.pi / 4), help="phase of the unit target")
@@ -114,7 +114,7 @@ def _add_recover(subparsers):
 def _add_gen_capture(subparsers):
     p = subparsers.add_parser("gen-capture", help="synthesize a capture file for testing")
     p.add_argument("--out", required=True, help="capture payload path to write")
-    p.add_argument("--n", type=int, default=256, help="number of range bins")
+    p.add_argument("--n", type=int, default=ExperimentConfig.n_bins, help="number of range bins")
     p.add_argument("--meas", type=int, default=8192, help="number of measurements M")
     p.add_argument("--bits", type=_bit_depth, default=1, help="bit depth per component, or 'unquantized'")
     p.add_argument("--dithered", action=argparse.BooleanOptionalAction, default=True)

@@ -238,7 +238,7 @@ class AggregateResult:
     mean_l2_error: float
 
 
-def trial_seeds(point: GridPoint, trial_indices, master_seed: int, n_bins: int = 256) -> tuple:
+def trial_seeds(point: GridPoint, trial_indices, master_seed: int, n_bins: int = ExperimentConfig.n_bins) -> tuple:
     """(profile, plan, dither) sub-seed lists of the trials, one seed per trial each.
 
     The common-random-numbers rule: profiles depend on (n_bins, K, trial),
@@ -271,12 +271,12 @@ def run_block(points, trial_indices, master_seed: int, n_bins: int, recovery: Re
     """Execute the same seeded trials at every point, all of sparsity ``recovery.sparsity``.
 
     The profiles and their spectrum are drawn once for all the points; each
-    point runs in sub-chunks of at most CHUNK_ELEMENTS values.  A plan that
-    holds a whole ramp sees every bin, so its rows' range peaks are the
-    largest spectral moduli.  Returns one :class:`TrialOutcomes` per point,
-    in the order of ``points``.
+    point runs in sub-chunks of at most CHUNK_ELEMENTS values.  Returns one
+    :class:`TrialOutcomes` per point, in the order of ``points``.
     """
     k, t = recovery.sparsity, len(trial_indices)
+    if any(point.sparsity != k for point in points):
+        raise ValueError(f"every point of a block must have the recovery's sparsity {k}")
     # T rows each: the profiles, then every point's plans and its dithers.
     seeds = _profile_seeds(k, trial_indices, master_seed, n_bins)
     for point in points:
@@ -285,7 +285,6 @@ def run_block(points, trial_indices, master_seed: int, n_bins: int, recovery: Re
     stack = SeedStack(seeds)
     truth = random_profile(n_bins, k, stack[:t])
     spectrum = np.fft.fft(truth)
-    peaks = np.max(np.abs(spectrum), axis=1, keepdims=True)
     outcomes = []
     for i, point in enumerate(points):
         plan_rows, dither_rows = t * (2 * i + 1), t * (2 * i + 2)
@@ -295,7 +294,6 @@ def run_block(points, trial_indices, master_seed: int, n_bins: int, recovery: Re
                 point,
                 truth[c.start : c.stop],
                 spectrum[c.start : c.stop],
-                peaks[c.start : c.stop] if point.n_meas >= n_bins else None,
                 stack[plan_rows + c.start : plan_rows + c.stop],
                 stack[dither_rows + c.start : dither_rows + c.stop],
                 recovery,
@@ -311,10 +309,10 @@ def _chunk_rows(point: GridPoint, n_bins: int) -> int:
     return max(1, CHUNK_ELEMENTS // max(point.n_meas, n_bins))
 
 
-def _run_rows(point, truth, spectrum, peaks, plan_seeds, dither_seeds, recovery) -> TrialOutcomes:
+def _run_rows(point, truth, spectrum, plan_seeds, dither_seeds, recovery) -> TrialOutcomes:
     """Outcomes of one sub-chunk of a point's trials, whose profiles and spectra are given."""
     plan = make_sampling_plan(truth.shape[1], point.n_meas, plan_seeds)
-    quantizer, dither, y = acquire(plan, point.bit_depth, point.dithered, dither_seeds, spectrum=spectrum, peak=peaks)
+    quantizer, dither, y = acquire(plan, point.bit_depth, point.dithered, dither_seeds, spectrum=spectrum)
     estimates, iterations, _, _ = estimate(point.algorithm, plan, quantizer, dither, y, recovery)
     return TrialOutcomes(
         hits=np.count_nonzero((truth != 0) & (estimates != 0), axis=1),
@@ -325,7 +323,7 @@ def _run_rows(point, truth, spectrum, peaks, plan_seeds, dither_seeds, recovery)
     )
 
 
-def run_trials(point: GridPoint, trial_indices, master_seed: int, *, n_bins: int = 256) -> TrialOutcomes:
+def run_trials(point: GridPoint, trial_indices, master_seed: int, *, n_bins: int = ExperimentConfig.n_bins) -> TrialOutcomes:
     """Execute seeded trials of the grid point: a :func:`run_block` of one point.
 
     Each trial draws its profile, plan, and dither from its own sub-seeds of
@@ -337,7 +335,7 @@ def run_trials(point: GridPoint, trial_indices, master_seed: int, *, n_bins: int
     return run_block((point,), trial_indices, master_seed, n_bins, RecoveryConfig(point.sparsity))[0]
 
 
-def run_trial(point: GridPoint, trial_index: int, master_seed: int, *, n_bins: int = 256) -> TrialOutcomes:
+def run_trial(point: GridPoint, trial_index: int, master_seed: int, *, n_bins: int = ExperimentConfig.n_bins) -> TrialOutcomes:
     """Execute one seeded trial of the grid point: a batch of one, as (1,) arrays."""
     return run_trials(point, [trial_index], master_seed, n_bins=n_bins)
 

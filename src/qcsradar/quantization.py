@@ -135,24 +135,21 @@ def quantize_complex(config: QuantizerConfig, values: np.ndarray) -> np.ndarray:
     return _acquire(config, None, np.array(values, dtype=np.complex128))
 
 
-def dynamic_range_for(measurements: np.ndarray, bit_depth: Optional[int], dithered: bool, peak=None):
+def dynamic_range_for(measurements: np.ndarray, bit_depth: Optional[int], dithered: bool):
     """Smallest dynamic range covering the noiseless measurements.
 
     Undithered: Delta = ||r||_inf (largest modulus).  Dithered: the dither
     adds up to delta/2 = 2**-b * Delta per component, so the smallest Delta
     with Delta >= ||r||_inf + delta/2 is ||r||_inf / (1 - 2**-b).  For the
     unquantized mode the peak itself is returned for bookkeeping.  (T, M)
-    measurements get a (T, 1) column, one range per row.  A caller that
-    already knows ||r||_inf (its (T, 1) column, for a stack) passes it as
-    ``peak``, and the measurements are not read.
+    measurements get a (T, 1) column, one range per row.
     """
     check_bit_depth(bit_depth)
-    if peak is None:
-        r = np.asarray(measurements)
-        if r.ndim == 2:
-            peak = np.max(np.abs(r), axis=1, keepdims=True)
-        else:
-            peak = float(np.max(np.abs(r))) if r.size else 0.0
+    r = np.asarray(measurements)
+    if r.ndim == 2:
+        peak = np.max(np.abs(r), axis=1, keepdims=True)
+    else:
+        peak = float(np.max(np.abs(r))) if r.size else 0.0
     if np.any(peak == 0.0):
         raise ValueError("cannot size a dynamic range for an all-zero signal")
     if bit_depth is None or not dithered:
@@ -160,15 +157,9 @@ def dynamic_range_for(measurements: np.ndarray, bit_depth: Optional[int], dither
     return peak / (1.0 - 2.0 ** (-bit_depth))
 
 
-def adapted_quantizer(measurements: np.ndarray, bit_depth: Optional[int], dithered: bool, peak=None) -> QuantizerConfig:
-    """Build the quantizer whose range is adapted to ``measurements`` (row by row for (T, M)).
-
-    ``peak``, when given, is their known ||r||_inf (see :func:`dynamic_range_for`).
-    """
-    return QuantizerConfig(
-        bit_depth=bit_depth,
-        dynamic_range=dynamic_range_for(measurements, bit_depth, dithered, peak),
-    )
+def adapted_quantizer(measurements: np.ndarray, bit_depth: Optional[int], dithered: bool) -> QuantizerConfig:
+    """Build the quantizer whose range is adapted to ``measurements`` (row by row for (T, M))."""
+    return QuantizerConfig(bit_depth=bit_depth, dynamic_range=dynamic_range_for(measurements, bit_depth, dithered))
 
 
 def draw_dither(config: QuantizerConfig, n_meas: int, seed) -> Dither:
@@ -198,16 +189,18 @@ def draw_dither(config: QuantizerConfig, n_meas: int, seed) -> Dither:
 
 
 def acquire(
-    plan: SamplingPlan, bit_depth: Optional[int], dithered: bool, dither_seed, profile=None, *, spectrum=None, peak=None
+    plan: SamplingPlan, bit_depth: Optional[int], dithered: bool, dither_seed, profile=None, *, spectrum=None
 ) -> tuple:
     """The acquisition map: (quantizer, dither, measurements) of a profile, or of a (T, N) stack.
 
-    ``forward`` (or the gather of ``spectrum``), the range rule (on a known ``peak`` if given), a
-    dither of ``dither_seed`` (one per row) only when dithered and quantized, then :func:`_acquire`.
+    ``forward`` (or the gather of ``spectrum``), the range rule, a dither of ``dither_seed`` (one
+    per row) only when dithered and quantized, then :func:`_acquire`.  A plan that holds a whole
+    ramp sees every bin in its first N columns, and its other columns copy them, so the range is
+    read from those N: the same largest modulus, a NaN included.
     """
     r = forward(plan, profile, spectrum=spectrum)
     dithered = dithered and bit_depth is not None
-    quantizer = adapted_quantizer(r, bit_depth, dithered, peak=peak)
+    quantizer = adapted_quantizer(r[..., : plan.n_bins] if plan._ramps else r, bit_depth, dithered)
     dither = draw_dither(quantizer, plan.n_meas, dither_seed) if dithered else None
     return quantizer, dither, _acquire(quantizer, dither, r)
 

@@ -344,6 +344,8 @@ def estimate(algorithm: str, plan: SamplingPlan, config: QuantizerConfig, dither
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
+    if 1 in (plan.omega.ndim, np.ndim(measurements)):
+        raise ValueError("estimate takes (T, M) stacks and a trial axis is missing: pass one trial through stack_of_one")
     if algorithm == "qiht":
         return qiht_batch(plan, config, dither, measurements, recovery)
     estimates = pbp(plan, measurements, recovery.sparsity)

@@ -5,6 +5,7 @@ QIHT loop, the trial blocks and the grid runner are checked row for row,
 and bit for bit, against the single-trial path.
 """
 
+import itertools
 import multiprocessing
 import os
 import signal
@@ -34,7 +35,9 @@ from qcsradar.evaluation import (
     trial_blocks,
     trial_seeds,
 )
-from qcsradar.quantization import Dither, QuantizerConfig, adapted_quantizer, draw_dither, quantize_complex, sense
+from qcsradar.quantization import (
+    Dither, QuantizerConfig, acquire, adapted_quantizer, draw_dither, quantize_complex, sense,
+)
 from qcsradar.recovery import (
     RecoveryConfig, RecoveryResult, StopReason, _scores, estimate, hard_threshold, pbp, qiht, qiht_batch,
 )
@@ -83,15 +86,33 @@ class TestBatchedKernels:
         with pytest.raises(ValueError):
             forward(plan, spectrum=np.fft.fft(a)[:, :-1])
 
-    def test_a_known_peak_sizes_the_range_as_the_measurements_would(self):
+    def test_acquire_sizes_the_range_as_the_measurements_would(self):
+        # acquire reads the range from the first ramp of a plan that holds one.
+        n = 12
         rng = np.random.default_rng(8)
-        r = rng.normal(size=(4, 30)) + 1j * rng.normal(size=(4, 30))
-        peak = np.max(np.abs(r), axis=1, keepdims=True)
-        for bit_depth, dithered in [(1, True), (3, False), (None, False)]:
-            want = adapted_quantizer(r, bit_depth, dithered).dynamic_range
-            assert np.array_equal(adapted_quantizer(None, bit_depth, dithered, peak=peak).dynamic_range, want)
-        with pytest.raises(ValueError):
-            adapted_quantizer(None, 1, True, peak=np.zeros((4, 1)))
+        ramp, permuted = np.arange(n), rng.permutation(n)
+        # (plan, its leading whole ramps): single plans, then stacks.
+        cases = [
+            (make_sampling_plan(n, 7, 1), 0),
+            (make_sampling_plan(n, n, 2), 1),
+            (make_sampling_plan(n, 2 * n, 3), 2),
+            (SamplingPlan(n, 2 * n + 3, np.concatenate([ramp, ramp, [5, 5, 2]]), None), 2),
+            (SamplingPlan(n, n + 3, np.concatenate([permuted, [0, 4, 9]]), None), 0),
+            (SamplingPlan(n, 2 * n, np.concatenate([[3] * n, ramp]), None), 0),
+            (make_sampling_plan(n, 2 * n + 3, range(4)), 2),
+            (SamplingPlan(n, 2 * n, np.tile(np.concatenate([ramp, [7] * n]), (3, 1)), None), 1),
+            (SamplingPlan(n, 2 * n, np.stack([np.tile(ramp, 2), np.concatenate([permuted, ramp])]), None), 0),
+        ]
+        for plan, ramps in cases:
+            assert plan._ramps == ramps
+            shape = plan.omega.shape[:-1] + (n,)
+            profile = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            seed = 5 if plan.omega.ndim == 1 else range(len(profile))
+            for bit_depth, dithered in itertools.product((1, 3, None), (True, False)):
+                want = np.asarray(adapted_quantizer(forward(plan, profile), bit_depth, dithered).dynamic_range)
+                for source in ({"profile": profile}, {"spectrum": np.fft.fft(profile)}):
+                    quantizer, _, _ = acquire(plan, bit_depth, dithered, seed, **source)
+                    assert np.asarray(quantizer.dynamic_range).tobytes() == want.tobytes()
 
     def test_quantization_uses_each_rows_step(self):
         rng = np.random.default_rng(4)
@@ -275,6 +296,18 @@ class TestChunkedGrid:
             sizes = [n for p, n in rows if p == point]
             assert sum(sizes) == len(block) and len(sizes) > 1
             assert max(sizes) * point.n_meas <= CHUNK_ELEMENTS
+
+    def test_a_block_refuses_a_point_of_another_sparsity(self, monkeypatch):
+        # The hits of a point are scored against its own K, so a block drawn at
+        # another sparsity would report a wrong TPR; it is refused before any draw.
+        def no_draw(*args):
+            raise AssertionError("a profile was drawn")
+
+        monkeypatch.setattr(evaluation, "random_profile", no_draw)
+        points = (GridPoint(2, 1, 512, True, "pbp"), GridPoint(5, 1, 512, True, "pbp"))
+        for block_points in (points[1:], points):
+            with pytest.raises(ValueError, match="sparsity 2"):
+                run_block(block_points, range(20), 0, 256, RecoveryConfig(2))
 
     def test_single_point_split_into_tasks_is_worker_independent(self):
         config = ExperimentConfig(

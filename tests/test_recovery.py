@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import brute
-from qcsradar.quantization import Dither, adapted_quantizer, draw_dither, sense, QuantizerConfig
+from qcsradar.quantization import Dither, acquire, adapted_quantizer, draw_dither, sense, QuantizerConfig
 from qcsradar.recovery import (
     MIN_STOP_ITERS,
     RecoveryConfig,
@@ -269,6 +269,20 @@ class TestQIHT:
         short = Dither(dither.values[:-1])
         with pytest.raises(ValueError, match=f"dither length {plan.n_meas - 1} does not match n_meas={plan.n_meas}"):
             qiht(plan, quantizer, short, y, RecoveryConfig(sparsity=1))
+
+
+class TestEstimate:
+    @pytest.mark.parametrize("algorithm", ["pbp", "qiht"])
+    def test_single_trial_input_asks_for_a_trial_axis(self, algorithm):
+        plan = make_sampling_plan(64, 128, 3)
+        quantizer, dither, y = acquire(plan, 1, True, 4, random_profile(64, 2, 5))
+        recovery = RecoveryConfig(2, max_iters=20)
+        stacked_plan, stacked_dither, rows = stack_of_one(plan, dither, y)
+        for one_plan, one_dither, meas in ((plan, dither, y), (stacked_plan, stacked_dither, y), (plan, dither, rows)):
+            with pytest.raises(ValueError, match="trial axis is missing.*stack_of_one"):
+                estimate_rows(algorithm, one_plan, quantizer, one_dither, meas, recovery)
+        (estimate,), *_ = estimate_rows(algorithm, stacked_plan, quantizer, stacked_dither, rows, recovery)
+        assert np.count_nonzero(estimate) == 2
 
 
 class TestSupportRecoveryScaling:
