@@ -14,10 +14,17 @@ rule and the dither draw stack the same way: :func:`adapted_quantizer` on
 (T, M) measurements sizes one range per row, and :func:`draw_dither` given
 T seeds draws row i from seed i with row i's step.  :func:`acquire` chains
 them into the acquisition map that sweeps and captures share.
+
+A (T, 1) column of steps is applied to rows of 256 values or more in
+unbuffered row passes: numpy buffers a column that broadcasts over rows
+shorter than its ufunc buffer, at about twice the cost of the arithmetic.
+Inside :func:`_row_passes` the buffer is one row long; the values are the
+same bytes either way.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -43,6 +50,10 @@ __all__ = [
 
 # Unquantized samples are accounted as 32-bit floats per real component.
 UNQUANTIZED_BITS = 32
+
+# Shorter rows gain nothing from unbuffered passes (64-value rows run slower).
+_MIN_UNBUFFERED_ROW = 256
+_BUFFERED = contextlib.nullcontext()
 
 
 def check_bit_depth(bit_depth: Optional[int]) -> None:
@@ -182,8 +193,9 @@ def draw_dither(config: QuantizerConfig, n_meas: int, seed) -> Dither:
     # Generator.uniform(low, high) computes low + (high - low) * u; applied
     # here to the whole stack, with low = -half and high - low = half + half.
     parts = values.view(np.float64)
-    parts *= half + half
-    parts += -half
+    with _row_passes(half, parts):
+        parts *= half + half
+        parts += -half
     values.flags.writeable = False
     return Dither(values=_Owned(values), seed=None) if stacked else Dither(values=_Owned(values[0]), seed=int(seed))
 
@@ -239,8 +251,35 @@ def _acquire(config: QuantizerConfig, dither: Optional[Dither], measurements: np
     # A (T, 1) column of steps broadcasts over the 2M parts of each row.
     step = config.step
     parts = np.atleast_1d(measurements).view(np.float64)
-    np.divide(parts, step, out=parts)
-    np.floor(parts, out=parts)
-    parts *= step
-    parts += 0.5 * step
+    with _row_passes(step, parts):
+        np.divide(parts, step, out=parts)
+        np.floor(parts, out=parts)
+        parts *= step
+        parts += 0.5 * step
     return measurements
+
+
+def _row_passes(step, parts: np.ndarray):
+    """The scope of the passes of ``step`` over (T, L) ``parts``: unbuffered rows for a (T, 1) column.
+
+    Inside, the ufunc buffer holds one row (L rounded down to a multiple of 16, as numpy asks), so
+    the column is not copied out across rows; :class:`numpy.errstate` restores the buffer on exit.
+    """
+    length = parts.shape[-1]
+    if np.ndim(step) != 2 or not _MIN_UNBUFFERED_ROW <= length <= np.getbufsize():
+        return _BUFFERED
+    return _RowBuffer(length // 16 * 16)
+
+
+class _RowBuffer(np.errstate):
+    """An :class:`numpy.errstate` scope, with unchanged error handling, whose ufunc buffer holds ``size`` values."""
+
+    __slots__ = ("size",)
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+
+    def __enter__(self):
+        super().__enter__()
+        np.setbufsize(self.size)

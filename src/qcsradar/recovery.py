@@ -165,26 +165,34 @@ def consistency(
 
     A measurement counts as reproduced only if re-acquiring the estimate
     through the same plan, dither, and quantizer lands in the same cell for
-    both the real and the imaginary part.
+    both the real and the imaginary part.  One trial: a 1-D plan and (M,)
+    finite measurements, as a quantizer writes them.
     """
     if not config.quantized:
         raise ValueError("consistency is defined for quantized measurements only")
     y = np.asarray(measurements, dtype=np.complex128)
+    if 2 in (plan.omega.ndim, y.ndim):
+        raise ValueError("consistency takes one trial and a trial axis is extra: pass a 1-D plan and (M,) measurements")
     if y.shape != (plan.n_meas,):
         raise ValueError(f"measurement length {y.shape} does not match n_meas={plan.n_meas}")
-    return float(_scores(y, sense(plan, config, dither, estimate), quantized=True))
+    return float(_scores(y - sense(plan, config, dither, estimate), quantized=True))
 
 
-def _scores(y: np.ndarray, y_hat: np.ndarray, quantized: bool) -> np.ndarray:
-    """Per-row QIHT stopping score: consistency (of one row or of each), or minus the residual norm."""
+def _scores(residual: np.ndarray, quantized: bool) -> np.ndarray:
+    """Per-row QIHT stopping score of ``y - y_hat``: consistency (of one row or of each), or minus its norm.
+
+    The measurements y are finite, so a part of the residual is exactly 0
+    where the re-acquired part equals the measured one, and is nonzero, inf or
+    NaN everywhere else.
+    """
     if quantized:
-        # A measurement matches when both of its float64 parts do: its pair of
-        # bools, read as one uint16, is 0x0101.  The views need contiguous rows.
-        parts = np.equal(np.ascontiguousarray(y).view(np.float64), y_hat.view(np.float64))
-        return (parts.view(np.uint16) == 0x0101).sum(axis=-1) / y.shape[-1]
+        # A measurement matches when both of its float64 parts are 0: its pair
+        # of bools, read as one uint16, is 0x0101.
+        parts = np.equal(residual.view(np.float64), 0.0)
+        return (parts.view(np.uint16) == 0x0101).sum(axis=-1) / residual.shape[-1]
     # One 1-D norm per row: an ``axis=`` norm sums in another order, and the
     # stop rule compares scores for exact equality.
-    return np.array([-float(np.linalg.norm(r)) for r in y - y_hat])
+    return np.array([-float(np.linalg.norm(r)) for r in residual])
 
 
 def qiht_batch(
@@ -196,9 +204,10 @@ def qiht_batch(
 ) -> tuple:
     """QIHT on T trials at once: (T, M) measurements through a stacked plan.
 
-    Each row runs the iteration and stop rule documented in :func:`qiht`.
-    Returns (estimates (T, N), iterations run (T,), final consistency (T,),
-    stop reasons (list of T)), in row order.
+    Each row runs the iteration and stop rule documented in :func:`qiht`; the
+    measurements are finite, as a quantizer writes them.  Returns (estimates
+    (T, N), iterations run (T,), final consistency (T,), stop reasons (list
+    of T)), in row order.
 
     The working arrays are allocated once per call and every iteration runs
     inside them.  When rows stop, running rows from the end move into their
@@ -206,6 +215,8 @@ def qiht_batch(
     re-checked and the dither is a view, not a copy.
     """
     y_in = np.asarray(measurements, dtype=np.complex128)
+    if 1 in (plan.omega.ndim, y_in.ndim):
+        raise ValueError("qiht_batch takes (T, M) stacks and a trial axis is missing: pass one trial through stack_of_one")
     if y_in.ndim != 2 or y_in.shape != plan.omega.shape:
         raise ValueError(f"measurement length {y_in.shape} does not match n_meas={plan.n_meas}")
     if not config.quantized and dither is not None:
@@ -229,7 +240,7 @@ def qiht_batch(
     rows = np.arange(t)
     y, xi = y_in, None if dither is None else dither.values
     ranges = np.array(config.dynamic_range) if np.ndim(config.dynamic_range) else None
-    y_hat = np.empty_like(y_in)
+    residual = np.empty_like(y_in)
     current, step, best = (np.empty_like(estimates) for _ in range(3))
     batch_plan = plan
 
@@ -239,19 +250,19 @@ def qiht_batch(
         for i in rows[at]:
             reasons[i] = reason
 
+    # ``residual`` holds y - A(current): the re-acquired iterate, then at once its residual.
     current[:] = pbp(plan, y, k)  # start from the back projection
-    sense(plan, config, dither, current, out=y_hat)
-    score = prev_score = _scores(y, y_hat, quantized)
-    match = score if quantized else _scores(y, y_hat, True)
+    np.subtract(y, sense(plan, config, dither, current, out=residual), out=residual)
+    score = prev_score = _scores(residual, quantized)
+    match = score if quantized else _scores(residual, True)
     best[:], best_score, best_match = current, score, match
     for j in range(budget + 1):
         if j:
-            np.subtract(y, y_hat, out=y_hat)
-            np.multiply(mu / m, adjoint(plan, y_hat, out=step), out=step)
+            np.multiply(mu / m, adjoint(plan, residual, out=step), out=step)
             hard_threshold(np.add(current, step, out=step), k, out=current)
-            sense(plan, config, dither, current, out=y_hat)
-            score = _scores(y, y_hat, quantized)
-            match = score if quantized else _scores(y, y_hat, True)
+            np.subtract(y, sense(plan, config, dither, current, out=residual), out=residual)
+            score = _scores(residual, quantized)
+            match = score if quantized else _scores(residual, True)
             better = score > best_score
             if better.any():
                 np.copyto(best, current, where=better[:, None])
@@ -274,12 +285,12 @@ def qiht_batch(
             # Running rows from past the new end take the places of stopped rows before it.
             holes = np.flatnonzero(stopped[:live])
             movers = live + np.flatnonzero(~stopped[live:])
-            _fill(holes, movers, rows, y_hat, current, best, score, best_score, best_match, ranges)
+            _fill(holes, movers, rows, residual, current, best, score, best_score, best_match, ranges)
             if y is y_in:  # the first stop: copy the running rows out of the caller's arrays
                 y, xi = y_in[rows[:live]], None if xi is None else xi[rows[:live]]
             else:
                 _fill(holes, movers, y, xi)
-            rows, y, y_hat, current, step, best = (a[:live] for a in (rows, y, y_hat, current, step, best))
+            rows, y, residual, current, step, best = (a[:live] for a in (rows, y, residual, current, step, best))
             score, best_score, best_match = score[:live], best_score[:live], best_match[:live]
             plan = batch_plan._rows(rows)
             if ranges is not None:

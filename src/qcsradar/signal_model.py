@@ -182,11 +182,16 @@ class SamplingPlan:
         """
         omega = self.omega[rows] if self._flat.shape[-1] else self.omega[: len(rows)]
         omega.flags.writeable = False
-        plan = object.__new__(SamplingPlan)
-        for name, value in (("n_bins", self.n_bins), ("n_meas", self.n_meas), ("omega", omega), ("seed", None)):
-            object.__setattr__(plan, name, value)
-        plan._set_ramps(self._ramps)
-        return plan
+        return _unchecked_plan(self.n_bins, self.n_meas, omega, None, self._ramps)
+
+
+def _unchecked_plan(n_bins: int, n_meas: int, omega: np.ndarray, seed: Optional[int], ramps: int) -> SamplingPlan:
+    """A plan of read-only ``omega`` whose indices and ``ramps`` leading whole ramps its maker knows, unchecked."""
+    plan = object.__new__(SamplingPlan)
+    for name, value in (("n_bins", n_bins), ("n_meas", n_meas), ("omega", omega), ("seed", seed)):
+        object.__setattr__(plan, name, value)
+    plan._set_ramps(ramps)
+    return plan
 
 
 def make_sampling_plan(n_bins: int, n_meas: int, seed) -> SamplingPlan:
@@ -211,9 +216,10 @@ def make_sampling_plan(n_bins: int, n_meas: int, seed) -> SamplingPlan:
             row[:] = g.choice(n_bins, size=remainder, replace=False)
         partial.sort(axis=1)
     omega.flags.writeable = False  # nothing else holds it: the plan keeps it uncopied
+    # The indices are drawn in [0, N) and the first ``full`` ramps are whole, so nothing is re-checked.
     if stacked:
-        return SamplingPlan(n_bins=n_bins, n_meas=n_meas, omega=_Owned(omega), seed=None)
-    return SamplingPlan(n_bins=n_bins, n_meas=n_meas, omega=_Owned(omega[0]), seed=int(seed))
+        return _unchecked_plan(n_bins, n_meas, omega, None, full)
+    return _unchecked_plan(n_bins, n_meas, omega[0], int(seed), full)
 
 
 def _as_amplitudes(profile: ProfileLike, plan: SamplingPlan) -> np.ndarray:
@@ -315,12 +321,14 @@ def random_profile(n_bins: int, sparsity: int, rng):
     phases = np.empty((len(rows), sparsity))
     for i, g in enumerate(rows.generators()):
         support[i] = g.choice(n_bins, size=sparsity, replace=False)
-        moduli[i] = g.uniform(0.0, 1.0, size=sparsity)
-        phases[i] = g.uniform(0.0, 2.0 * np.pi, size=sparsity)
+        # Generator.uniform(0, h) is 0 + h * u on the same stream: u here, h once for all rows.
+        g.random(out=moduli[i])
+        g.random(out=phases[i])
         # U[0,1] puts zero mass at 0, but an exact 0 would silently drop a target.
-        while np.any(moduli[i] == 0.0):
+        while not moduli[i].all():
             redraw = moduli[i] == 0.0
-            moduli[i, redraw] = g.uniform(0.0, 1.0, size=int(redraw.sum()))
+            moduli[i, redraw] = g.random(int(redraw.sum()))
+    phases *= 2.0 * np.pi
     amps = np.zeros((len(rows), n_bins), dtype=np.complex128)
     np.put_along_axis(amps, support, moduli * np.exp(1j * phases), axis=1)
     amps /= np.max(np.abs(amps), axis=1, keepdims=True)

@@ -4,11 +4,13 @@ Everything here is written as plain loops over math/cmath scalars, on
 purpose: these functions must not share code (or vectorization strategy)
 with the package they check.  The exceptions are
 :func:`hard_threshold_argsort`, a row loop over a stable sort, because
-Python's ``sorted`` cannot order NaN keys, and :func:`forward_gather` and
+Python's ``sorted`` cannot order NaN keys, :func:`forward_gather` and
 :func:`adjoint_bincount`, the package's own earlier operators (one FFT and
-an index gather, one ``bincount`` per part and one inverse FFT), kept as
-bit-exact references: a loop oracle agrees only to rounding, and the
-operators must keep every bit, NaN and signed zero included.
+an index gather, one ``bincount`` per part and one inverse FFT), and
+:func:`profile_uniform`, the profile draw as a single trial made it with
+``Generator.uniform``, kept as bit-exact references: a loop oracle agrees
+only to rounding, and the operators and draws must keep every bit, NaN and
+signed zero included.
 """
 
 import cmath
@@ -62,6 +64,24 @@ def adjoint_bincount(omega, measurements, n_bins):
         bins, weights=y.imag.ravel(), minlength=size
     )
     return n_bins * np.fft.ifft(spectrum.reshape(y.shape[:-1] + (n_bins,)))
+
+
+def profile_uniform(n_bins, sparsity, seed):
+    """One K-sparse profile drawn from a Philox stream with ``Generator.uniform`` (bit-exact reference).
+
+    The support, then K moduli on U[0, 1), K phases on U[0, 2 pi) and a redraw
+    of any zero modulus, scaled so the largest modulus is 1.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    support = rng.choice(n_bins, size=sparsity, replace=False)
+    moduli = rng.uniform(0.0, 1.0, size=sparsity)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=sparsity)
+    while np.any(moduli == 0.0):
+        redraw = moduli == 0.0
+        moduli[redraw] = rng.uniform(0.0, 1.0, size=int(redraw.sum()))
+    amps = np.zeros(n_bins, dtype=np.complex128)
+    amps[support] = moduli * np.exp(1j * phases)
+    return amps / np.max(np.abs(amps))
 
 
 def hard_threshold_sorted(values, sparsity):

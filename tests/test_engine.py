@@ -137,6 +137,18 @@ class TestBatchedKernels:
             Dither(values=np.zeros((2, 3), complex), seed=4)
         assert Dither(values=np.zeros((2, 3), complex)).n_meas == 3
 
+    @pytest.mark.parametrize("n", [1, 3, 256, 1000])
+    @pytest.mark.parametrize("t", [1, 200])
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_row_norms_are_the_one_dimensional_norms(self, t, n, scale):
+        # Squares of 1e+-150 overflow to inf and underflow to 0 alike on both paths.
+        rng = np.random.default_rng(t * n)
+        truth = scale * (rng.normal(size=(t, n)) + 1j * rng.normal(size=(t, n)))
+        estimates = np.where(rng.random((t, n)) < 0.5, 0, truth * rng.uniform(0.5, 1.5, size=(t, n)))
+        estimates[: t // 2] = truth[: t // 2]  # zero rows of the difference
+        want = np.array([np.linalg.norm(a - e) for a, e in zip(truth, estimates)])
+        assert evaluation._row_norms(truth - estimates).tobytes() == want.tobytes()
+
 
 def single_pbp(plan, quantizer, dither, y, recovery):
     """One PBP trial as ``estimate`` reports it: no iterations, no final consistency, no stop reason."""
@@ -211,8 +223,8 @@ class TestBatchedQiht:
         # about a quarter of rows, which can flip the stop rule's comparisons.
         rng = np.random.default_rng(6)
         y, y_hat = (rng.normal(size=(40, 64)) + 1j * rng.normal(size=(40, 64)) for _ in range(2))
-        want = [-np.linalg.norm(a - b) for a, b in zip(y, y_hat)]
-        assert np.array_equal(_scores(y, y_hat, quantized=False), want)
+        want = np.array([-np.linalg.norm(a - b) for a, b in zip(y, y_hat)])
+        assert _scores(y - y_hat, quantized=False).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "point",

@@ -13,6 +13,7 @@ from qcsradar.recovery import (
     hard_threshold,
     pbp,
     qiht,
+    qiht_batch,
     stack_of_one,
 )
 from qcsradar.recovery import estimate as estimate_rows
@@ -283,6 +284,21 @@ class TestEstimate:
                 estimate_rows(algorithm, one_plan, quantizer, one_dither, meas, recovery)
         (estimate,), *_ = estimate_rows(algorithm, stacked_plan, quantizer, stacked_dither, rows, recovery)
         assert np.count_nonzero(estimate) == 2
+
+    def test_wrong_trial_axes_are_named(self):
+        # qiht_batch takes stacks, consistency one trial; each says which axis is missing or extra.
+        plan = make_sampling_plan(64, 128, 3)
+        quantizer, dither, y = acquire(plan, 1, True, 4, random_profile(64, 2, 5))
+        stacked_plan, stacked_dither, rows = stack_of_one(plan, dither, y)
+        recovery = RecoveryConfig(2, max_iters=20)
+        for one_plan, one_dither, meas in ((plan, dither, y), (stacked_plan, stacked_dither, y), (plan, dither, rows)):
+            with pytest.raises(ValueError, match="qiht_batch takes .* trial axis is missing.*stack_of_one"):
+                qiht_batch(one_plan, quantizer, one_dither, meas, recovery)
+        for two_plan, meas in ((stacked_plan, rows), (plan, rows), (stacked_plan, y)):
+            with pytest.raises(ValueError, match="consistency takes one trial and a trial axis is extra"):
+                consistency(two_plan, quantizer, dither, meas, np.zeros(64))
+        (estimate,), *_ = qiht_batch(stacked_plan, quantizer, stacked_dither, rows, recovery)
+        assert 0.0 <= consistency(plan, quantizer, dither, y, estimate) <= 1.0
 
 
 class TestSupportRecoveryScaling:

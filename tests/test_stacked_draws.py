@@ -7,15 +7,19 @@ engine draws whole chunks this way and the golden sweep pins its results.
 import numpy as np
 import pytest
 
+import brute
 from qcsradar import seeding
 from qcsradar.quantization import (
     Dither,
     QuantizerConfig,
+    _acquire,
+    _row_passes,
     acquire,
     adapted_quantizer,
     draw_dither,
     dynamic_range_for,
     quantize_complex,
+    sense,
 )
 from qcsradar.seeding import seed_rows
 from qcsradar.signal_model import RangeProfile, SamplingPlan, make_sampling_plan, random_profile
@@ -26,17 +30,6 @@ SEEDS = [3, 2**63 + 5, 0, 17, 2**64 - 1]
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def reference_profile(n_bins, sparsity, seed):
-    """One profile drawn as a single trial did before draws took T seeds."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    support = rng.choice(n_bins, size=sparsity, replace=False)
-    moduli = rng.uniform(0.0, 1.0, size=sparsity)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=sparsity)
-    amps = np.zeros(n_bins, dtype=np.complex128)
-    amps[support] = moduli * np.exp(1j * phases)
-    return amps / np.max(np.abs(amps))
 
 
 def reference_omega(n_bins, n_meas, seed):
@@ -78,15 +71,20 @@ def acquired_rows(bit_depth, n_meas):
 
 
 class TestStackedDraws:
-    @pytest.mark.parametrize("n_bins, sparsity", [(16, 1), (64, 3), (256, 10), (8, 8)])
+    @pytest.mark.parametrize("n_bins, sparsity", [(16, 1), (64, 3), (256, 10), (8, 8), (64, 1), (64, 10), (64, 64)])
     def test_profile_rows_are_single_seed_profiles(self, n_bins, sparsity):
-        stack = random_profile(n_bins, sparsity, SEEDS)
-        assert stack.shape == (len(SEEDS), n_bins) and not stack.flags.writeable
-        for row, seed in zip(stack, SEEDS):
+        # Drawn with Generator.random and scaled once; the reference draws with Generator.uniform.
+        seeds = SEEDS + [7919 * i + 1 for i in range(45)]
+        stack = random_profile(n_bins, sparsity, seeds)
+        assert stack.shape == (len(seeds), n_bins) and not stack.flags.writeable
+        for row, seed in zip(stack, seeds):
             assert same_bits(row, random_profile(n_bins, sparsity, seed).amplitudes)
-            assert same_bits(row, reference_profile(n_bins, sparsity, seed))
+            assert same_bits(row, brute.profile_uniform(n_bins, sparsity, seed))
 
-    @pytest.mark.parametrize("n_bins, n_meas", [(16, 5), (16, 16), (16, 48), (16, 37), (64, 8192), (256, 300)])
+    @pytest.mark.parametrize(
+        "n_bins, n_meas",
+        [(16, 5), (16, 16), (16, 48), (16, 37), (64, 8192), (256, 300), (16, 1), (16, 15), (16, 17), (16, 32), (16, 53)],
+    )
     def test_plan_rows_are_single_seed_plans(self, n_bins, n_meas):
         stack = make_sampling_plan(n_bins, n_meas, SEEDS)
         assert stack.omega.shape == (len(SEEDS), n_meas) and stack.seed is None
@@ -94,6 +92,11 @@ class TestStackedDraws:
             single = make_sampling_plan(n_bins, n_meas, seed)
             assert same_bits(row, single.omega) and single.seed == seed
             assert same_bits(row, reference_omega(n_bins, n_meas, seed))
+        # Drawn plans are built unchecked: they equal the checked plan of their indices.
+        for drawn in (stack, make_sampling_plan(n_bins, n_meas, SEEDS[1])):
+            checked = SamplingPlan(n_bins, n_meas, drawn.omega, drawn.seed)
+            assert drawn._ramps == checked._ramps == n_meas // n_bins
+            assert same_bits(drawn.omega, checked.omega) and same_bits(drawn._flat, checked._flat)
 
     @pytest.mark.parametrize("bit_depth", [1, 2, 3, 4])
     @pytest.mark.parametrize(
@@ -135,6 +138,57 @@ class TestStackedDraws:
             assert same_bits(adapted_quantizer(raw, bit_depth, dithered).dynamic_range, column)
         with pytest.raises(ValueError):
             dynamic_range_for(np.vstack([raw[:1], np.zeros((1, 50))]), 1, True)
+
+
+STACK_SIZES = [1, 2, 100]
+ROW_LENGTHS = [8, 64, 127, 128, 129, 2047, 2048, 4096, 8192]
+
+
+class TestUnbufferedRowPasses:
+    """A (T, 1) column of steps runs unbuffered over rows of 256 parts or more: the bytes of a per-trial loop."""
+
+    @staticmethod
+    def seeds(t):
+        return [7919 * i + 3 for i in range(t)]
+
+    @pytest.mark.parametrize("n_meas", ROW_LENGTHS)
+    @pytest.mark.parametrize("t", STACK_SIZES)
+    def test_acquire_and_sense_equal_a_per_trial_loop(self, t, n_meas):
+        seeds = self.seeds(t)
+        plans, truth = make_sampling_plan(256, n_meas, seeds), random_profile(256, 3, seeds)
+        column, stack, y = acquire(plans, 2, True, seeds, truth)
+        assert same_bits(sense(plans, column, stack, truth), y)
+        for i, seed in enumerate(seeds):
+            plan, profile = make_sampling_plan(256, n_meas, seed), random_profile(256, 3, seed)
+            quantizer, dither, row = acquire(plan, 2, True, seed, profile)
+            assert same_bits(column.dynamic_range[i], [quantizer.dynamic_range])
+            assert same_bits(stack.values[i], dither.values) and same_bits(y[i], row)
+            assert same_bits(sense(plan, quantizer, dither, profile), row)
+
+    @pytest.mark.parametrize("n_meas", ROW_LENGTHS)
+    @pytest.mark.parametrize("t", STACK_SIZES)
+    def test_dither_draws_equal_a_per_trial_loop(self, t, n_meas):
+        seeds = self.seeds(t)
+        ranges = np.random.default_rng(t + n_meas).uniform(1e-3, 1e3, size=(t, 1))
+        stack = draw_dither(QuantizerConfig(3, ranges), n_meas, seeds)
+        for row, dynamic_range, seed in zip(stack.values, ranges[:, 0], seeds):
+            assert same_bits(row, draw_dither(QuantizerConfig(3, dynamic_range), n_meas, seed).values)
+
+    def test_buffer_is_restored_when_a_scoped_pass_raises(self):
+        default = np.getbufsize()
+        column = QuantizerConfig(1, np.ones((2, 1)))
+        read_only = np.ones((2, 640), dtype=np.complex128)
+        read_only.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            _acquire(column, None, read_only)
+        assert np.getbufsize() == default
+        with pytest.raises(ZeroDivisionError):
+            with _row_passes(column.step, read_only.view(np.float64)):
+                assert np.getbufsize() == 1280
+                1 / 0
+        assert np.getbufsize() == default
+        with _row_passes(column.step, np.ones((2, 128))):  # short rows stay buffered
+            assert np.getbufsize() == default
 
 
 class TestFullRampPlans:
