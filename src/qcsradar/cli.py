@@ -22,6 +22,7 @@ from .ambiguity import ambiguity_report
 from .evaluation import ExperimentConfig, run_grid
 from .io import (
     Capture,
+    _sidecar_path,
     check_capture_bit_depth,
     check_output_path,
     parse_config,
@@ -107,7 +108,7 @@ def _add_recover(subparsers):
     p.add_argument("--mu", type=float, default=RecoveryConfig.step_size, help="QIHT step size")
     p.add_argument("--max-iters", type=int, default=RecoveryConfig.max_iters,
                    help="QIHT iteration budget (default max(20, 100K))")
-    p.add_argument("--target", type=float, default=RecoveryConfig.consistency_target, help="QIHT consistency stop target")
+    p.add_argument("--target", type=float, default=RecoveryConfig.consistency_target, help="QIHT consistency stop target (quantized captures only)")
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
 
@@ -230,6 +231,8 @@ def _cmd_gen_capture(args) -> int:
         radar = RadarParams(
             f0=args.f0, bandwidth=args.bandwidth, ramp_duration=args.ramp_duration, n_bins=args.n
         )
+        for path in (args.out, _sidecar_path(args.out)):  # before the first draw, so that a bad path leaves no file
+            check_output_path(path, "capture")
         profile = random_profile(args.n, args.sparsity, derive_seed(args.seed, "capture-profile"))
         plan = make_sampling_plan(args.n, args.meas, derive_seed(args.seed, "capture-plan"))
     quantizer, dither, samples = acquire(plan, args.bits, args.dithered, derive_seed(args.seed, "capture-dither"), profile)

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import _worker
 from .quantization import UNQUANTIZED_BITS, _is_int, acquire, check_bit_depth, decode_bit_depth, encode_bit_depth
-from .recovery import ALGORITHMS, RecoveryConfig, estimate
+from .recovery import ALGORITHMS, RecoveryConfig, _row_norms, estimate
 from .seeding import SeedStack, derive_seeds
 from .signal_model import make_sampling_plan, random_profile
 
@@ -320,17 +320,6 @@ def _run_rows(point, truth, spectrum, plan_seeds, dither_seeds, recovery) -> Tri
         l2_error=_row_norms(truth - estimates),
         iterations=iterations,
     )
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """The 1-D ``np.linalg.norm`` of each complex row, in the same bytes, for all rows at once.
-
-    That norm is sqrt(re . re + im . im) over the strided parts; a stack of (1, N) @ (N, 1)
-    products makes the same BLAS dot call on each row.
-    """
-    re, im = rows.real[:, None, :], rows.imag[:, None, :]
-    squares = np.matmul(re, re.mT) + np.matmul(im, im.mT)
-    return np.sqrt(squares[:, 0, 0])
 
 
 def run_trials(point: GridPoint, trial_indices, master_seed: int, *, n_bins: int = ExperimentConfig.n_bins) -> TrialOutcomes:

@@ -8,15 +8,15 @@ iterates
 
 from the back-projection estimate, where A re-applies the acquisition map
 (forward operator, known dither, quantizer) to the current iterate.  QIHT is
-not guaranteed to converge; it runs at least MIN_STOP_ITERS iterations and at
-most the configured budget, stopping early once the consistency with the
-observed bits reaches the target or strictly decreases.
+not guaranteed to converge.  An iterate that reproduces every measurement
+(unquantized: a zero residual) stops at once; otherwise QIHT runs at least
+MIN_STOP_ITERS iterations and at most the configured budget, stopping early
+once the consistency with the observed bits reaches the target or strictly decreases.
 
 Both estimators take a leading trial axis: (T, M) measurements through a
 stacked plan, quantizer and dither are T independent trials, each row
-following exactly the iteration and stop rule of a single trial
-(:func:`qiht_batch`, which runs in working arrays allocated once per call);
-:func:`pbp` and :func:`qiht` are the single-trial case.  :func:`estimate` chooses between them.
+following exactly the iteration and stop rule of a single trial; :func:`estimate`,
+the one stacked entry, chooses between them.  :func:`pbp` and :func:`qiht` are the single-trial case.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .quantization import Dither, QuantizerConfig, sense
-from .signal_model import RangeProfile, SamplingPlan, _Owned, _output, adjoint
+from .signal_model import RangeProfile, SamplingPlan, _Owned, _output, _unchecked_plan, adjoint
 
 __all__ = [
     "ALGORITHMS",
@@ -41,16 +41,15 @@ __all__ = [
     "pbp",
     "consistency",
     "qiht",
-    "qiht_batch",
     "stack_of_one",
     "estimate",
 ]
 
 ALGORITHMS = ("pbp", "qiht")
 
-# Early-stop rules only engage after this many iterations; the iteration
-# count therefore lies between MIN_STOP_ITERS and the budget (unless the
-# iterate is already perfectly consistent, a provable fixed point).
+# The target and drop rules engage only after this many iterations; a perfect
+# iterate (every measurement reproduced or, unquantized, a zero residual) is a
+# fixed point and stops at once.
 MIN_STOP_ITERS = 20
 
 
@@ -190,12 +189,23 @@ def _scores(residual: np.ndarray, quantized: bool) -> np.ndarray:
         # of bools, read as one uint16, is 0x0101.
         parts = np.equal(residual.view(np.float64), 0.0)
         return (parts.view(np.uint16) == 0x0101).sum(axis=-1) / residual.shape[-1]
-    # One 1-D norm per row: an ``axis=`` norm sums in another order, and the
-    # stop rule compares scores for exact equality.
-    return np.array([-float(np.linalg.norm(r)) for r in residual])
+    return -_row_norms(residual)
 
 
-def qiht_batch(
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The 1-D ``np.linalg.norm`` of each complex row, in the same bytes, for all rows at once.
+
+    That norm is sqrt(re . re + im . im) over the strided parts; a stack of (1, N) @ (N, 1)
+    products makes the same BLAS dot call on each row (a row holding NaNs of both signs may get
+    a NaN of the other sign).  An ``axis=`` norm sums in another order, and the stop rule
+    compares scores for exact equality.
+    """
+    re, im = rows.real[:, None, :], rows.imag[:, None, :]
+    squares = np.matmul(re, re.mT) + np.matmul(im, im.mT)
+    return np.sqrt(squares[:, 0, 0])
+
+
+def _qiht_batch(
     plan: SamplingPlan,
     config: QuantizerConfig,
     dither: Optional[Dither],
@@ -207,7 +217,7 @@ def qiht_batch(
     Each row runs the iteration and stop rule documented in :func:`qiht`; the
     measurements are finite, as a quantizer writes them.  Returns (estimates
     (T, N), iterations run (T,), final consistency (T,), stop reasons (list
-    of T)), in row order.
+    of T)), in row order.  Its callers check the trial axis.
 
     The working arrays are allocated once per call and every iteration runs
     inside them.  When rows stop, running rows from the end move into their
@@ -215,9 +225,7 @@ def qiht_batch(
     re-checked and the dither is a view, not a copy.
     """
     y_in = np.asarray(measurements, dtype=np.complex128)
-    if 1 in (plan.omega.ndim, y_in.ndim):
-        raise ValueError("qiht_batch takes (T, M) stacks and a trial axis is missing: pass one trial through stack_of_one")
-    if y_in.ndim != 2 or y_in.shape != plan.omega.shape:
+    if y_in.shape != plan.omega.shape:
         raise ValueError(f"measurement length {y_in.shape} does not match n_meas={plan.n_meas}")
     if not config.quantized and dither is not None:
         raise ValueError("unquantized recovery does not accept a dither")
@@ -225,6 +233,7 @@ def qiht_batch(
         raise ValueError(f"dither length {dither.n_meas} does not match n_meas={plan.n_meas}")
 
     quantized = config.quantized
+    perfect, target = (1.0, recovery.consistency_target) if quantized else (0.0, 0.0)
     k = recovery.sparsity
     mu = recovery.step_size
     budget = recovery.resolved_max_iters()
@@ -242,6 +251,7 @@ def qiht_batch(
     ranges = np.array(config.dynamic_range) if np.ndim(config.dynamic_range) else None
     residual = np.empty_like(y_in)
     current, step, best = (np.empty_like(estimates) for _ in range(3))
+    best_score = best_match = np.full(t, -np.inf)
     batch_plan = plan
 
     def stop(mask, chosen, consistency_of, reason, j):
@@ -250,31 +260,25 @@ def qiht_batch(
         for i in rows[at]:
             reasons[i] = reason
 
-    # ``residual`` holds y - A(current): the re-acquired iterate, then at once its residual.
-    current[:] = pbp(plan, y, k)  # start from the back projection
-    np.subtract(y, sense(plan, config, dither, current, out=residual), out=residual)
-    score = prev_score = _scores(residual, quantized)
-    match = score if quantized else _scores(residual, True)
-    best[:], best_score, best_match = current, score, match
     for j in range(budget + 1):
         if j:
             np.multiply(mu / m, adjoint(plan, residual, out=step), out=step)
             hard_threshold(np.add(current, step, out=step), k, out=current)
-            np.subtract(y, sense(plan, config, dither, current, out=residual), out=residual)
-            score = _scores(residual, quantized)
-            match = score if quantized else _scores(residual, True)
-            better = score > best_score
-            if better.any():
-                np.copyto(best, current, where=better[:, None])
-                best_score = np.where(better, score, best_score)
-                best_match = best_score if quantized else np.where(better, match, best_match)
-        late = j >= MIN_STOP_ITERS
-        # Perfect consistency is a fixed point (the update vanishes), so it
-        # stops at once; the other rules wait for MIN_STOP_ITERS.
-        if quantized:
-            done = score >= (recovery.consistency_target if late else 1.0)
         else:
-            done = score == 0.0 if late or j == 0 else np.zeros(len(rows), dtype=bool)
+            current[:] = pbp(plan, y, k)  # start from the back projection
+        # ``residual`` holds y - A(current): the re-acquired iterate, then at once its residual.
+        np.subtract(y, sense(plan, config, dither, current, out=residual), out=residual)
+        score = _scores(residual, quantized)
+        match = score if quantized else _scores(residual, True)
+        better = (score > best_score) | (j == 0)  # the start is the first best iterate, whatever its score
+        if better.any():
+            np.copyto(best, current, where=better[:, None])
+            best_score = np.where(better, score, best_score)
+            best_match = best_score if quantized else np.where(better, match, best_match)
+        late = j >= MIN_STOP_ITERS
+        # A perfect iterate is a fixed point (the update vanishes), so it stops at once; the target waits.
+        # Unquantized, the score is -||r|| <= 0: only a zero residual is perfect, or reaches the target.
+        done = score >= (target if late else perfect)
         stopped = done | (score < prev_score) if late else done
         if stopped.any():
             stop(done, current, match, StopReason.CONSISTENCY_TARGET, j)
@@ -325,39 +329,42 @@ def qiht(
 
     The dither must be the vector used during acquisition: the update
     re-applies the full acquisition map to each iterate.  Stopping: a
-    perfectly consistent iterate stops immediately (the update vanishes
-    identically); otherwise, after at least MIN_STOP_ITERS iterations, the
-    loop stops when consistency reaches ``recovery.consistency_target``
-    (returning the current iterate) or strictly decreases (returning the
-    best iterate so far); exhausting the budget also returns the best
-    iterate seen.  With an unquantized configuration the residual norm
-    replaces consistency as the stopping score and the recursion is plain
-    iterative hard thresholding.
+    perfectly consistent iterate stops immediately, at any iteration (the
+    update vanishes identically); otherwise, after at least MIN_STOP_ITERS
+    iterations, the loop stops when consistency reaches
+    ``recovery.consistency_target`` (returning the current iterate) or
+    strictly decreases (returning the best iterate so far); exhausting the
+    budget also returns the best iterate seen.  With an unquantized
+    configuration minus the residual norm replaces consistency as the
+    stopping score, a zero residual is perfect (and the only score to reach
+    the target), and the recursion is plain iterative hard thresholding.
     """
     plan, dither, y = stack_of_one(plan, dither, measurements)
-    (estimate,), (iterations,), (final,), (reason,) = qiht_batch(plan, config, dither, y, recovery)
+    (estimate,), (iterations,), (final,), (reason,) = _qiht_batch(plan, config, dither, y, recovery)
     return RecoveryResult(RangeProfile(estimate), int(iterations), float(final), reason)
 
 
 def stack_of_one(plan: SamplingPlan, dither: Optional[Dither], measurements: np.ndarray) -> tuple:
-    """One trial as stacks of one: one-row views of the plan's and dither's read-only arrays, uncopied."""
+    """One trial as stacks of one: one-row views of the plan's and dither's read-only arrays, uncopied and unchecked."""
+    if plan.omega.ndim != 1:
+        raise ValueError("a single trial takes a 1-D plan and a trial axis is extra: pass stacks to estimate")
     y = np.asarray(measurements, dtype=np.complex128)
     stacked_dither = None if dither is None else Dither(_Owned(dither.values[None]))
-    return replace(plan, omega=_Owned(plan.omega[None])), stacked_dither, y[None]
+    return _unchecked_plan(plan.n_bins, plan.n_meas, plan.omega[None], None, plan._ramps), stacked_dither, y[None]
 
 
 def estimate(algorithm: str, plan: SamplingPlan, config: QuantizerConfig, dither: Optional[Dither],
              measurements: np.ndarray, recovery: RecoveryConfig) -> tuple:
-    """PBP or QIHT on (T, M) measurements, returning what :func:`qiht_batch` does.
-
-    PBP runs 0 iterations with None stop reasons and a None final consistency: that costs one more
-    :func:`sense`, which a caller that wants it pays through :func:`consistency`.
+    """PBP or QIHT on (T, M) stacks: estimates (T, N), iterations run (T,), final consistency (T,) and
+    stop reasons (list of T), row i exactly what :func:`qiht` gives for trial i.  PBP runs 0 iterations
+    with None stop reasons and a None final consistency: that costs one more :func:`sense`, which a
+    caller that wants it pays through :func:`consistency`.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     if 1 in (plan.omega.ndim, np.ndim(measurements)):
         raise ValueError("estimate takes (T, M) stacks and a trial axis is missing: pass one trial through stack_of_one")
     if algorithm == "qiht":
-        return qiht_batch(plan, config, dither, measurements, recovery)
+        return _qiht_batch(plan, config, dither, measurements, recovery)
     estimates = pbp(plan, measurements, recovery.sparsity)
     return estimates, np.zeros(len(estimates), dtype=int), None, [None] * len(estimates)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcsradar.ambiguity import (
+    AmbiguousPair,
     ambiguity_holds,
     ambiguity_report,
     build_pair,
@@ -13,7 +14,7 @@ from qcsradar.ambiguity import (
 from qcsradar.evaluation import CHUNK_ELEMENTS
 from qcsradar.quantization import QuantizerConfig, adapted_quantizer, draw_dither
 from qcsradar.seeding import derive_seed
-from qcsradar.signal_model import forward, make_sampling_plan
+from qcsradar.signal_model import RangeProfile, forward, make_sampling_plan
 
 SQRT2_2 = np.sqrt(2) / 2
 
@@ -44,6 +45,11 @@ class TestBuildPair:
     def test_bin_n_aliases_to_index_zero(self):
         pair = build_pair(8, 8, 3, 0.0, 0.0, 0.25)
         assert 0 in pair.base.support
+
+    def test_pair_must_differ_by_gamma(self):
+        pair = build_pair(256, 64, 10, 0.0, 0.0, 0.5)
+        with pytest.raises(ValueError, match="differ by a single target of amplitude gamma"):
+            AmbiguousPair(pair.base, pair.alternate, 0.25)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -90,8 +96,10 @@ class TestMargin:
     def test_margin_requires_single_unit_target(self):
         plan = make_sampling_plan(16, 16, seed=0)
         pair = build_pair(16, 4, 7, 0.0, 0.0, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="single-target"):
             check_margin(plan, pair.alternate, 0.5)
+        with pytest.raises(ValueError, match="unit-modulus"):
+            check_margin(plan, RangeProfile(0.5 * pair.base.amplitudes), 0.5)
 
 
 class TestAmbiguityCondition:

@@ -157,6 +157,8 @@ class TestRecover:
             # omega entries are JSON integers, never truncated into another plan.
             lambda side, payload: (dict(side, omega=[x + 0.5 for x in side["omega"]]), payload),
             lambda side, payload: (dict(side, omega=[True] * len(side["omega"])), payload),
+            lambda side, payload: ({k: v for k, v in side.items() if k != "bit_depth"}, payload),
+            lambda side, payload: ({k: v for k, v in side.items() if k not in ("omega", "plan_seed")}, payload),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would print a second line
@@ -325,6 +327,17 @@ class TestFileErrors:
         result = run_cli(capsys, "recover", "--capture", str(out), "--sparsity", "2")
         self._one_line(*result, "capture")
 
+    @pytest.mark.parametrize("part, fault", [("cap.iq", "missing payload"), ("cap.iq.json", "invalid sidecar JSON")])
+    def test_capture_file_missing_or_not_json(self, tmp_path, capsys, part, fault):
+        out = self._capture(tmp_path, capsys)
+        if part == "cap.iq":
+            (tmp_path / part).unlink()
+        else:
+            (tmp_path / part).write_text('{"schema_version": 1,')
+        result = run_cli(capsys, "recover", "--capture", str(out), "--sparsity", "2")
+        self._one_line(*result, "capture")
+        assert result[2].startswith(f"error: capture: {fault} ")
+
     def test_sidecar_that_is_not_utf8(self, tmp_path, capsys):
         out = self._capture(tmp_path, capsys)
         sidecar = tmp_path / "cap.iq.json"
@@ -367,6 +380,17 @@ class TestFileErrors:
         result = run_cli(capsys, "recover", "--capture", str(out), "--sparsity", "2", "--out", str(report))
         self._one_line(*result, "io")
         assert result[2].startswith(f"error: io: cannot write report to {report}: ")
+
+    @pytest.mark.parametrize("target, rejected", [("missing/x.iq", "missing/x.iq"), ("x.iq", "x.iq.json")])
+    def test_capture_paths_rejected_before_the_first_draw(self, tmp_path, capsys, monkeypatch, target, rejected):
+        # Checked before any draw or write: neither an orphan payload nor a sidecar is left behind.
+        (tmp_path / "x.iq.json").mkdir()
+        monkeypatch.setattr(cli, "random_profile", self._no_call("the profile draw"))
+        out = tmp_path / target
+        result = run_cli(capsys, "gen-capture", "--out", str(out), "--meas", "512", "--seed", "1")
+        self._one_line(*result, "io")
+        assert result[2].startswith(f"error: io: cannot write capture to {tmp_path / rejected}: ")
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["x.iq.json"]
 
     def test_results_path_lost_after_the_check_still_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         # The directory can go away between the check and the write.

@@ -39,6 +39,10 @@ class TestGridPoint:
         with pytest.raises(ValueError):
             GridPoint(2, 1, 64, True, "omp")
 
+    def test_sparsity_below_one_rejected(self):
+        with pytest.raises(ValueError, match="sparsity must be >= 1"):
+            GridPoint(0, 1, 64, True, "pbp")
+
     def test_runnable_range(self):
         ok, _ = point_is_runnable(GridPoint(2, 1, 8, True, "pbp"))
         assert ok
@@ -99,6 +103,8 @@ class TestExperimentConfig:
             ExperimentConfig(algorithm="foo")
         with pytest.raises(ValueError):
             ExperimentConfig(trials=0)
+        with pytest.raises(ValueError, match="n_bins must be >= 1"):
+            ExperimentConfig(n_bins=0)
         with pytest.raises(ValueError):
             ExperimentConfig(bit_depths=(0,))
         for algorithm in ("pbp", "qiht"):

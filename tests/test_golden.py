@@ -16,12 +16,17 @@ units.
 the whole bit-rate range, the points one trial block shares its profiles
 across, with a trial count that splits unevenly into blocks and sub-chunks.
 
+``iterations.csv`` pins how QIHT stops, which no CSV row shows: the
+per-trial iteration counts that ``run_block`` reports at each of the 42
+QIHT points of the three sweeps, in trial order, one row per point.
+
 ``sweep.csv`` was written by the one-trial-at-a-time engine that the
 batched engine replaced; ``sweep_n256.csv`` by the engine before QIHT ran
 in per-chunk buffers; ``sweep_blocks.csv`` by the (point, chunk) engine
-before trial blocks replaced it.  Regenerate them
+before trial blocks replaced it; ``iterations.csv`` after a zero residual
+became a stop of unquantized QIHT.  Regenerate them
 (``PYTHONPATH=src python tests/test_golden.py``) only for a change that is
-meant to alter results, and say so in CHANGES.md.
+meant to alter results or stopping, and say so in CHANGES.md.
 """
 
 import os
@@ -29,7 +34,7 @@ import sys
 
 import pytest
 
-from qcsradar.evaluation import ExperimentConfig, run_grid
+from qcsradar.evaluation import ExperimentConfig, point_is_runnable, run_block, run_grid, sort_key
 from qcsradar.io import write_results
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -93,6 +98,27 @@ def write_sweep(path, max_workers, configs=golden_configs):
     write_results(results, path)
 
 
+ITERATIONS = "iterations.csv"
+
+
+def iteration_rows() -> str:
+    """``iterations.csv``: each QIHT point of the sweeps, then its trials' iteration counts, space-separated."""
+    lines = ["sweep,K,b,M,dithered,iterations"]
+    for name, configs in SWEEPS.items():
+        for config in configs():
+            if config.algorithm != "qiht":
+                continue
+            points = sorted((p for p in config.grid_points() if point_is_runnable(p)[0]), key=sort_key)
+            for point in points:
+                # Trial outcomes do not depend on the block, so each point runs as one.
+                (outcomes,) = run_block((point,), range(config.trials), config.master_seed, config.n_bins,
+                                        config.recovery(point.sparsity))
+                counts = " ".join(map(str, outcomes.iterations.tolist()))
+                lines.append(f"{name},{point.sparsity},{point.depth_label},{point.n_meas},"
+                             f"{str(point.effective_dithered).lower()},{counts}")
+    return "\n".join(lines) + "\n"
+
+
 def _check(tmp_path, name, workers):
     out = tmp_path / name
     write_sweep(out, max_workers=workers, configs=SWEEPS[name])
@@ -116,9 +142,17 @@ def test_block_sweep_matches_golden_csv(tmp_path, workers):
     _check(tmp_path, "sweep_blocks.csv", workers)
 
 
+def test_qiht_iteration_counts_match_golden():
+    with open(os.path.join(GOLDEN_DIR, ITERATIONS), encoding="utf-8") as fh:
+        assert iteration_rows() == fh.read()
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     workers = int(sys.argv[1]) if len(sys.argv) > 1 else None
     for name, configs in SWEEPS.items():
         write_sweep(os.path.join(GOLDEN_DIR, name), max_workers=workers, configs=configs)
         print(f"wrote {name}")
+    with open(os.path.join(GOLDEN_DIR, ITERATIONS), "w", encoding="utf-8") as fh:
+        fh.write(iteration_rows())
+    print(f"wrote {ITERATIONS}")

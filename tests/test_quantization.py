@@ -87,6 +87,11 @@ class TestScalarQuantizer:
         q = quantize_complex(cfg, (lams_safe + xi) + 0j).real
         assert np.max(np.abs(q - lams_safe)) <= delta + 1e-12
 
+    @pytest.mark.parametrize("dynamic_range", [0.0, -1.0, np.array([[1.0], [0.0]])])
+    def test_range_not_above_zero_rejected(self, dynamic_range):
+        with pytest.raises(ValueError, match="dynamic_range must be > 0"):
+            QuantizerConfig(bit_depth=1, dynamic_range=dynamic_range)
+
     def test_unquantized_config_has_no_step(self):
         cfg = QuantizerConfig(bit_depth=None, dynamic_range=1.0)
         assert not cfg.quantized

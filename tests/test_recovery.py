@@ -13,7 +13,6 @@ from qcsradar.recovery import (
     hard_threshold,
     pbp,
     qiht,
-    qiht_batch,
     stack_of_one,
 )
 from qcsradar.recovery import estimate as estimate_rows
@@ -152,6 +151,11 @@ class TestConsistency:
         with pytest.raises(ValueError):
             consistency(plan, QuantizerConfig(None, 1.0), None, y, profile)
 
+    def test_measurement_length_checked(self):
+        plan, profile, quantizer, dither, y = self._setup(1)
+        with pytest.raises(ValueError, match=f"measurement length \\({plan.n_meas - 1},\\) does not match"):
+            consistency(plan, quantizer, dither, y[:-1], profile)
+
     def test_matches_enumeration_oracle(self):
         for seed in range(30):
             dithered = seed % 2 == 0
@@ -207,6 +211,30 @@ class TestQIHT:
                 np.testing.assert_array_equal(residual, np.zeros_like(y))
                 break
         assert found, "no seed produced an already-consistent back projection"
+
+    def test_zero_residual_stops_at_once(self):
+        # Unquantized, a zero residual is the perfect score: a fixed point, which
+        # stops at the iteration that reaches it instead of waiting for MIN_STOP_ITERS.
+        n, m, k = 32, 64, 2
+        stopped_early = []
+        for seed in range(12):
+            plan = make_sampling_plan(n, m, seed=derive_seed(seed, "plan"))
+            y = forward(plan, random_profile(n, k, rng=derive_seed(seed, "prof")))
+            result = qiht(plan, QuantizerConfig(None, 1.0), None, y, RecoveryConfig(sparsity=k))
+            current = pbp(plan, y, k).amplitudes
+            for j in range(MIN_STOP_ITERS):
+                if j:
+                    current = hard_threshold(current + 1.0 / m * adjoint(plan, y - forward(plan, current)), k)
+                if not np.any(y - forward(plan, current)):
+                    break
+            else:
+                assert result.iterations_run >= MIN_STOP_ITERS
+                continue
+            stopped_early.append(j)
+            assert (result.iterations_run, result.stop_reason, result.final_consistency) == (
+                j, StopReason.CONSISTENCY_TARGET, 1.0)
+            assert result.estimate.amplitudes.tobytes() == current.tobytes()
+        assert max(stopped_early) > 0 and len(stopped_early) >= 6
 
     def test_iterates_stay_sparse(self):
         for seed in range(10):
@@ -285,19 +313,24 @@ class TestEstimate:
         (estimate,), *_ = estimate_rows(algorithm, stacked_plan, quantizer, stacked_dither, rows, recovery)
         assert np.count_nonzero(estimate) == 2
 
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(ValueError, match="algorithm must be one of .*'omp'"):  # checked before the inputs
+            estimate_rows("omp", None, None, None, None, RecoveryConfig(2))
+
     def test_wrong_trial_axes_are_named(self):
-        # qiht_batch takes stacks, consistency one trial; each says which axis is missing or extra.
+        # estimate takes stacks (above); consistency, qiht and stack_of_one one trial, and say the axis is extra.
         plan = make_sampling_plan(64, 128, 3)
         quantizer, dither, y = acquire(plan, 1, True, 4, random_profile(64, 2, 5))
         stacked_plan, stacked_dither, rows = stack_of_one(plan, dither, y)
-        recovery = RecoveryConfig(2, max_iters=20)
-        for one_plan, one_dither, meas in ((plan, dither, y), (stacked_plan, stacked_dither, y), (plan, dither, rows)):
-            with pytest.raises(ValueError, match="qiht_batch takes .* trial axis is missing.*stack_of_one"):
-                qiht_batch(one_plan, quantizer, one_dither, meas, recovery)
         for two_plan, meas in ((stacked_plan, rows), (plan, rows), (stacked_plan, y)):
             with pytest.raises(ValueError, match="consistency takes one trial and a trial axis is extra"):
                 consistency(two_plan, quantizer, dither, meas, np.zeros(64))
-        (estimate,), *_ = qiht_batch(stacked_plan, quantizer, stacked_dither, rows, recovery)
+        for meas in (rows, y):
+            with pytest.raises(ValueError, match="a single trial takes a 1-D plan and a trial axis is extra"):
+                qiht(stacked_plan, quantizer, None, meas, RecoveryConfig(2))
+            with pytest.raises(ValueError, match="a single trial takes a 1-D plan and a trial axis is extra"):
+                stack_of_one(stacked_plan, None, meas)
+        (estimate,), *_ = estimate_rows("qiht", stacked_plan, quantizer, stacked_dither, rows, RecoveryConfig(2, max_iters=20))
         assert 0.0 <= consistency(plan, quantizer, dither, y, estimate) <= 1.0
 
 

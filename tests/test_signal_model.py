@@ -64,6 +64,8 @@ class TestSamplingPlan:
             SamplingPlan(n_bins=4, n_meas=3, omega=np.array([0, 1]), seed=0)
         with pytest.raises(ValueError, match="n_meas must be >= 1"):  # as make_sampling_plan requires
             SamplingPlan(n_bins=4, n_meas=0, omega=np.array([], dtype=np.int64), seed=None)
+        with pytest.raises(ValueError, match="n_bins must be >= 1"):
+            SamplingPlan(n_bins=0, n_meas=2, omega=np.array([0, 0]), seed=None)
 
 
 class TestForwardAdjoint:
@@ -204,6 +206,11 @@ class TestRangeProfileType:
         assert profile.support == frozenset({1, 3})
         assert profile.sparsity == 2
         assert profile.n_bins == 4
+
+    @pytest.mark.parametrize("amplitudes", [np.zeros(0, complex), np.ones((2, 3), complex)])
+    def test_rejects_empty_or_stacked_amplitudes(self, amplitudes):
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            RangeProfile(amplitudes)
 
     def test_amplitudes_are_readonly(self):
         profile = RangeProfile(np.array([1.0 + 0j, 0]))
