@@ -38,8 +38,10 @@ settings, and ExperimentConfig the values neither knows; nothing restates them.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import logging
+import multiprocessing
 import os
 import sys
 import threading
@@ -51,7 +53,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import _worker
 from .quantization import UNQUANTIZED_BITS, _is_int, acquire, check_bit_depth, decode_bit_depth, encode_bit_depth
 from .recovery import ALGORITHMS, RecoveryConfig, _row_norms, estimate
 from .seeding import SeedStack, derive_seeds
@@ -85,7 +86,7 @@ MEAS_RANGE = (2**3, 2**13)
 # calling process alone.
 CHUNK_ELEMENTS = 2**16
 
-# The mallopt values a pool worker sets (glibc only, :func:`_worker.keep_heap`).
+# The mallopt values a pool worker sets (glibc only, :func:`_start`).
 # Arrays up to twice a chunk's largest (one complex128 stack of
 # CHUNK_ELEMENTS values, 1 MiB) come from the heap rather than from mmap,
 # and the heap is trimmed only above 16 MiB, beyond a block's peak (a full
@@ -94,6 +95,8 @@ CHUNK_ELEMENTS = 2**16
 # worker's next sub-chunk reuses pages it has already touched.
 _WORKER_MMAP_THRESHOLD = 2 * 16 * CHUNK_ELEMENTS
 _WORKER_TRIM_THRESHOLD = 16 * 2**20
+# glibc's mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 # This process's worker pool, as (owner pid, workers, executor, exit hook),
 # or None.  A process forked from the owner inherits the tuple but not the
@@ -409,38 +412,74 @@ def _resolve_workers(max_workers: Optional[int], n_tasks: int) -> int:
     return max(1, min(max_workers, n_tasks))
 
 
+def _start() -> None:
+    """Pool worker initializer: keep freed memory in the heap between sub-chunks (glibc only), and end with the process that started the worker.
+
+    concurrent.futures workers do not watch their parent: one whose owner
+    ends without the interpreter's exit (SIGTERM, SIGKILL, ``os._exit``)
+    would block on its call queue forever.  A daemon thread waits on the
+    parent's sentinel instead and ends the worker when the parent ends.
+    (Linux's parent-death signal would fire when the forking thread ends,
+    and the pool forks from whichever thread first submits to it.)
+    """
+    try:
+        os.confstr("CS_GNU_LIBC_VERSION")
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ValueError, OSError, AttributeError):
+        pass
+    else:
+        mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(target=_exit_with, args=(parent,), daemon=True).start()
+
+
+def _exit_with(parent) -> None:
+    parent.join()
+    os._exit(1)
+
+
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """This process's pool of ``workers`` workers: the one it keeps, or a new one.
 
     The caller holds ``_pool_lock``.  A pool of another size, or one that a
     dead worker has broken, is shut down once the work already submitted to
     it is done; concurrent.futures joins the workers of the last one at exit,
-    and a worker ends with this process if it is killed (:func:`_worker.start`).
+    and a worker ends with this process if it is killed (:func:`_start`).
+    A copy of this module that is no longer the one imported under its
+    name gets no pool: pickle sends a task's functions by name, and the name
+    stands for another copy's.
     """
     global _pool
+    module = _module()
+    if module is None or sys.modules.get(__name__) is not module:
+        raise RuntimeError(
+            f"this copy of {__name__} is not the one imported under its name (a fresh import of the package "
+            "replaced or discarded it), so its tasks cannot be sent to worker processes; sweep with the module "
+            "as now imported, or with max_workers=1"
+        )
     if _pool is not None:
         owner, size, pool, _ = _pool
         # _broken is private to concurrent.futures; were it gone, a broken pool would fail one sweep and be dropped.
         if owner == os.getpid() and size == workers and not getattr(pool, "_broken", False):
             return pool
         _drop_pool(pool, cancel_futures=False)
-    pool = ProcessPoolExecutor(
-        workers, initializer=_worker.start, initargs=(_WORKER_MMAP_THRESHOLD, _WORKER_TRIM_THRESHOLD)
-    )
+    pool = ProcessPoolExecutor(workers, initializer=_start)
     # A process that multiprocessing started joins its children as it ends,
     # before the interpreter exit that would stop the pool's workers; stop
     # them first, while the pool's queues (exit priority 10) still feed them.
     # Stop them as well as soon as this module is discarded, rather than when
-    # the garbage collector frees its globals.
-    stop = mp_util.Finalize(_module(), _worker.stop_at_exit, args=(weakref.ref(pool), os.getpid()), exitpriority=20)
+    # the garbage collector frees its globals.  The hook takes no lock.
+    stop = mp_util.Finalize(module, _drop_pool, args=(pool, True), exitpriority=20)
     _pool = (os.getpid(), workers, pool, stop)
     return pool
 
 
 def _drop_pool(pool: ProcessPoolExecutor, cancel_futures: bool) -> None:
-    """Forget ``pool`` if this process keeps it, and shut it down if this process also started it.
+    """Forget ``pool`` and cancel its exit hook if this process keeps it, and shut it down if this process also started it.
 
-    The caller holds ``_pool_lock``.
+    The caller holds ``_pool_lock``, except as the pool's exit hook.
     """
     global _pool
     if _pool is not None and _pool[2] is pool:
@@ -469,7 +508,10 @@ def run_grid(
     the first parallel sweep, is rebuilt when the worker count changes or
     after a sweep on it failed, and ends when the process exits, or with it
     if it is killed.  Under the fork start method its workers see module
-    state as it was when the pool started, not as patched since.  Per-trial
+    state as it was when the pool started, not as patched since.  A copy
+    of this module that a fresh import of the package replaced stops its
+    pool, and refuses a parallel sweep with a RuntimeError, since its tasks
+    cannot be pickled; it still sweeps on one worker.  Per-trial
     results are added up in trial order, so the aggregates are the same for
     any worker count; the output is sorted by (algorithm, dithered, bit
     depth, sparsity, bitrate).

@@ -22,6 +22,7 @@ the two files into one, and :func:`write_capture` only encodes one.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -218,7 +219,9 @@ def write_capture(path, capture: Capture) -> str:
     Only encodes: the capture passed its checks when it was built.  A seeded
     dither is stored as its seed plus step (regenerable), an unseeded one
     as its values: a rig that recorded its physical dither rather than
-    synthesizing it builds its capture with an unseeded one.
+    synthesizing it builds its capture with an unseeded one.  If either
+    file cannot be written, the call removes what it wrote and raises one
+    ``io:`` error that names that file.
     """
     plan = capture.plan
     dither_field = None
@@ -250,13 +253,18 @@ def write_capture(path, capture: Capture) -> str:
         sidecar["plan_seed"] = plan.seed
     # json.dump would stream through the pure-Python encoder, one write per token.
     text = json.dumps(sidecar, sort_keys=True) + "\n"
+    files = ((path, capture.samples.astype("<c8").tobytes()), (_sidecar_path(path), text.encode("utf-8")))
+    written = []
     try:
-        with open(path, "wb") as fh:
-            fh.write(capture.samples.astype("<c8").tobytes())
-        with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
-            fh.write(text)
+        for target, data in files:
+            with open(target, "wb") as fh:
+                written.append(target)
+                fh.write(data)
     except OSError as exc:
-        raise OSError(f"capture: cannot write {path}: {exc}") from None
+        for done in written:  # no payload without its sidecar, and no half-written file
+            with contextlib.suppress(OSError):
+                os.remove(done)
+        raise OSError(f"io: cannot write capture to {target}: {exc}") from None
     return _sidecar_path(path)
 
 

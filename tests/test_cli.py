@@ -402,6 +402,15 @@ class TestFileErrors:
         self._one_line(*result, "io")
         assert result[2].startswith(f"error: io: cannot write results to {out}: ")
 
+    def test_capture_path_lost_after_the_check_still_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+        # The sidecar path can become a directory between the check and the write: no orphan payload stays.
+        monkeypatch.setattr(cli, "check_output_path", lambda path, what: None)
+        (tmp_path / "x.iq.json").mkdir()
+        result = run_cli(capsys, "gen-capture", "--out", str(tmp_path / "x.iq"), "--meas", "512", "--seed", "1")
+        self._one_line(*result, "io")
+        assert result[2].startswith(f"error: io: cannot write capture to {tmp_path / 'x.iq.json'}: ")
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["x.iq.json"]
+
 
 class TestParserReuse:
     def test_back_to_back_calls_do_not_leak_options(self, tmp_path, capsys):

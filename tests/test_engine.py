@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
-from qcsradar import _worker, evaluation
+from qcsradar import evaluation
 from qcsradar.evaluation import (
     CHUNK_ELEMENTS,
     ExperimentConfig,
@@ -600,6 +600,53 @@ class TestWorkerPool:
             child.communicate("", timeout=60)
         assert child.returncode == 0 and not any(map(_is_alive, second))
 
+    def test_a_replaced_copy_refuses_a_parallel_sweep(self):
+        # Pickle sends a task's functions by name, which a fresh import gives
+        # to the new copy: a held old module, or a function kept from a
+        # discarded one, cannot feed a pool.  It says so at once, every time,
+        # rather than hang, and still sweeps on one worker.
+        code = (
+            "import gc, sys\n"
+            "gc.disable()\n"
+            "def fresh():\n"
+            "    for name in [m for m in sys.modules if m.split('.')[0] == 'qcsradar']:\n"
+            "        del sys.modules[name]\n"
+            "    from qcsradar import evaluation\n"
+            "    return evaluation\n"
+            "def config_of(run_grid):\n"
+            "    return run_grid.__globals__['ExperimentConfig'](n_bins=64, bitrates=(2048, 8192), trials=30)\n"
+            "def attempts(run_grid):\n"
+            "    config = config_of(run_grid)\n"
+            "    for _ in range(2):\n"
+            "        try:\n"
+            "            run_grid(config, max_workers=2)\n"
+            "            print('ran', flush=True)\n"
+            "        except RuntimeError as exc:\n"
+            "            print(exc, flush=True)\n"
+            "    print(len(run_grid(config, max_workers=1)), flush=True)\n"
+            "held = fresh()\n"
+            "held.run_grid(config_of(held.run_grid), max_workers=2)\n"
+            "fresh()\n"
+            "attempts(held.run_grid)\n"
+            "run_grid = fresh().run_grid\n"
+            "run_grid(config_of(run_grid), max_workers=2)\n"
+            "fresh()\n"
+            "print(run_grid.__globals__['_pool'] is None, flush=True)\n"
+            "attempts(run_grid)\n"
+        )
+        child = _python(code)
+        try:
+            out, _ = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            child.kill()
+            child.communicate()
+            raise
+        lines = out.splitlines()
+        refusal = "this copy of qcsradar.evaluation is not the one imported under its name"
+        assert child.returncode == 0 and len(lines) == 7, out
+        assert [line.startswith(refusal) for line in lines] == [True, True, False, False, True, True, False]
+        assert lines[2] == lines[6] == "2" and lines[3] == "True"
+
 
     @pytest.mark.parametrize("method", ["forkserver", "spawn"])
     def test_other_start_methods(self, tmp_path, method):
@@ -667,8 +714,7 @@ def test_pool_workers_keep_their_heap_between_chunks():
     spawn = multiprocessing.get_context("spawn")
     point = GridPoint(2, 1, 8192, True, "pbp")
     faults = {}
-    thresholds = (evaluation._WORKER_MMAP_THRESHOLD, evaluation._WORKER_TRIM_THRESHOLD)
-    for initializer, initargs in ((None, ()), (_worker.keep_heap, thresholds)):
-        with ProcessPoolExecutor(1, mp_context=spawn, initializer=initializer, initargs=initargs) as pool:
+    for initializer in (None, evaluation._start):
+        with ProcessPoolExecutor(1, mp_context=spawn, initializer=initializer) as pool:
             faults[initializer] = sum(pool.submit(_warm_chunk_faults, point, range(4), 5).result())
-    assert faults[_worker.keep_heap] * 10 <= faults[None]
+    assert faults[evaluation._start] * 10 <= faults[None]

@@ -127,6 +127,14 @@ def _check(tmp_path, name, workers):
     assert out.read_bytes() == expected
 
 
+# The N=64 sweep holds a QIHT row (below one ramp, so a step above 1) that
+# diverges until it overflows; it returns its best finite iterate.
+diverging_qiht_row = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+)
+
+
+@diverging_qiht_row
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_matches_golden_csv(tmp_path, workers):
     _check(tmp_path, "sweep.csv", workers)
@@ -142,6 +150,7 @@ def test_block_sweep_matches_golden_csv(tmp_path, workers):
     _check(tmp_path, "sweep_blocks.csv", workers)
 
 
+@diverging_qiht_row
 def test_qiht_iteration_counts_match_golden():
     with open(os.path.join(GOLDEN_DIR, ITERATIONS), encoding="utf-8") as fh:
         assert iteration_rows() == fh.read()
