@@ -31,7 +31,7 @@ from .io import (
     write_results,
 )
 from .quantization import Dither, acquire, check_bit_depth, decode_bit_depth, encode_bit_depth
-from .recovery import ALGORITHMS, RecoveryConfig, consistency, estimate, stack_of_one
+from .recovery import ALGORITHMS, STOP_REASONS, RecoveryConfig, consistency, estimate, stack_of_one
 from .seeding import derive_seed
 from .signal_model import RadarParams, RangeProfile, bin_number, bin_to_range, make_sampling_plan, random_profile
 
@@ -205,7 +205,7 @@ def _cmd_recover(args) -> int:
     if args.sparsity > capture.plan.n_bins:
         raise ValueError(f"config: sparsity must be in [1, {capture.plan.n_bins}] for this capture, got {args.sparsity}")
     plan, dither, y = stack_of_one(capture.plan, capture.dither, capture.samples)
-    (amplitudes,), (iterations,), final, (reason,) = estimate(args.algo, plan, capture.quantizer, dither, y, recovery)
+    (amplitudes,), (iterations,), final, codes = estimate(args.algo, plan, capture.quantizer, dither, y, recovery)
     if final is not None:
         final = float(final[0])
     elif capture.quantizer.quantized:  # PBP's, which estimate leaves to the caller
@@ -219,7 +219,7 @@ def _cmd_recover(args) -> int:
         "ranges_m": [bin_to_range(capture.radar, b) for b in scene["support_bins"]],
         "iterations": int(iterations),
         "final_consistency": final,
-        "stop_reason": None if reason is None else reason.value,
+        "stop_reason": None if codes is None else STOP_REASONS[codes[0]].value,
     }
     _emit(report, args.out)
     return 0

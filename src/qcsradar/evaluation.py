@@ -447,13 +447,15 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
     dead worker has broken, is shut down once the work already submitted to
     it is done; concurrent.futures joins the workers of the last one at exit,
     and a worker ends with this process if it is killed (:func:`_start`).
-    A copy of this module that is no longer the one imported under its
-    name gets no pool: pickle sends a task's functions by name, and the name
-    stands for another copy's.
+    A copy of this module that is no longer the one imported under its name
+    gets no pool and shuts down the one it kept: pickle sends a task's
+    functions by name, and the name stands for another copy's.
     """
     global _pool
     module = _module()
     if module is None or sys.modules.get(__name__) is not module:
+        if _pool is not None:
+            _drop_pool(_pool[2], cancel_futures=False)
         raise RuntimeError(
             f"this copy of {__name__} is not the one imported under its name (a fresh import of the package "
             "replaced or discarded it), so its tasks cannot be sent to worker processes; sweep with the module "

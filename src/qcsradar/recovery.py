@@ -34,6 +34,7 @@ from .signal_model import RangeProfile, SamplingPlan, _Owned, _output, _unchecke
 __all__ = [
     "ALGORITHMS",
     "MIN_STOP_ITERS",
+    "STOP_REASONS",
     "RecoveryConfig",
     "RecoveryResult",
     "StopReason",
@@ -57,6 +58,11 @@ class StopReason(str, enum.Enum):
     BUDGET = "budget"
     CONSISTENCY_TARGET = "consistency_target"
     CONSISTENCY_DROP = "consistency_drop"
+
+
+# A stop code is the position of a stop reason in this tuple, in StopReason's order: a budget stop is 0.
+STOP_REASONS = tuple(StopReason)
+_BUDGET, _TARGET, _DROP = range(len(STOP_REASONS))
 
 
 @dataclass(frozen=True)
@@ -216,8 +222,8 @@ def _qiht_batch(
 
     Each row runs the iteration and stop rule documented in :func:`qiht`; the
     measurements are finite, as a quantizer writes them.  Returns (estimates
-    (T, N), iterations run (T,), final consistency (T,), stop reasons (list
-    of T)), in row order.  Its callers check the trial axis.
+    (T, N), iterations run (T,), final consistency (T,), int8 stop codes
+    (T,)), in row order, all written by one ``stop``.  Its callers check the trial axis.
 
     The working arrays are allocated once per call and every iteration runs
     inside them.  When rows stop, running rows from the end move into their
@@ -239,9 +245,9 @@ def _qiht_batch(
     budget = recovery.resolved_max_iters()
     t, m = y_in.shape
     estimates = np.zeros((t, plan.n_bins), dtype=np.complex128)
-    iterations = np.full(t, budget)
+    iterations = np.zeros(t, dtype=int)
     final = np.zeros(t)
-    reasons = [StopReason.BUDGET] * t
+    codes = np.zeros(t, dtype=np.int8)
 
     # Place i of each working array holds running row rows[i].  The caller's
     # measurements and dither serve until the first row stops; then the
@@ -254,16 +260,20 @@ def _qiht_batch(
     best_score = best_match = np.full(t, -np.inf)
     batch_plan = plan
 
-    def stop(mask, chosen, consistency_of, reason, j):
+    def stop(mask, code, j):  # a target stop keeps its iterate, any other the best; a budget stop counts the budget
         at = np.flatnonzero(mask)
-        estimates[rows[at]], iterations[rows[at]], final[rows[at]] = chosen[at], j, consistency_of[at]
-        for i in rows[at]:
-            reasons[i] = reason
+        i, code, kept = rows[at], code[at], code[at] == _TARGET
+        estimates[i], final[i] = np.where(kept[:, None], current[at], best[at]), np.where(kept, match[at], best_match[at])
+        iterations[i], codes[i] = np.where(code == _BUDGET, budget, j), code
 
     for j in range(budget + 1):
+        late, spent = j >= MIN_STOP_ITERS, j == budget  # a spent row stops as a budget stop, unless a rule stops it
         if j:
             np.multiply(mu / m, adjoint(plan, residual, out=step), out=step)
-            hard_threshold(np.add(current, step, out=step), k, out=current)
+            hard_threshold(np.add(current, step, out=step), k, out=step if late else current)
+            if late:  # a row that repeats its bytes would repeat them up to the budget
+                spent = spent or (step.view(np.uint64) == current.view(np.uint64)).all(axis=1)
+                current, step = step, current
         else:
             current[:] = pbp(plan, y, k)  # start from the back projection
         # ``residual`` holds y - A(current): the re-acquired iterate, then at once its residual.
@@ -275,14 +285,13 @@ def _qiht_batch(
             np.copyto(best, current, where=better[:, None])
             best_score = np.where(better, score, best_score)
             best_match = best_score if quantized else np.where(better, match, best_match)
-        late = j >= MIN_STOP_ITERS
         # A perfect iterate is a fixed point (the update vanishes), so it stops at once; the target waits.
         # Unquantized, the score is -||r|| <= 0: only a zero residual is perfect, or reaches the target.
         done = score >= (target if late else perfect)
-        stopped = done | (score < prev_score) if late else done
+        dropped = late and score < prev_score
+        stopped = done | dropped | spent
         if stopped.any():
-            stop(done, current, match, StopReason.CONSISTENCY_TARGET, j)
-            stop(stopped & ~done, best, best_match, StopReason.CONSISTENCY_DROP, j)
+            stop(stopped, np.where(done, _TARGET, np.where(dropped, _DROP, _BUDGET)), j)
             live = len(rows) - int(np.count_nonzero(stopped))
             if not live:
                 break
@@ -306,9 +315,7 @@ def _qiht_batch(
                 frozen.flags.writeable = False
                 dither = Dither(_Owned(frozen))
         prev_score = score
-    else:
-        stop(np.ones(len(rows), dtype=bool), best, best_match, StopReason.BUDGET, budget)
-    return estimates, iterations, final, reasons
+    return estimates, iterations, final, codes
 
 
 def _fill(holes: np.ndarray, movers: np.ndarray, *arrays) -> None:
@@ -334,14 +341,16 @@ def qiht(
     iterations, the loop stops when consistency reaches
     ``recovery.consistency_target`` (returning the current iterate) or
     strictly decreases (returning the best iterate so far); exhausting the
-    budget also returns the best iterate seen.  With an unquantized
-    configuration minus the residual norm replaces consistency as the
-    stopping score, a zero residual is perfect (and the only score to reach
-    the target), and the recursion is plain iterative hard thresholding.
+    budget also returns the best iterate seen, and so at once does a late
+    iterate that repeats its bytes: the count (the budget) and the reason
+    follow the rule, not the work done.  With an unquantized configuration
+    minus the residual norm replaces consistency as the stopping score, a
+    zero residual is perfect (and the only score to reach the target), and
+    the recursion is plain iterative hard thresholding.
     """
     plan, dither, y = stack_of_one(plan, dither, measurements)
-    (estimate,), (iterations,), (final,), (reason,) = _qiht_batch(plan, config, dither, y, recovery)
-    return RecoveryResult(RangeProfile(estimate), int(iterations), float(final), reason)
+    (estimate,), (iterations,), (final,), (code,) = _qiht_batch(plan, config, dither, y, recovery)
+    return RecoveryResult(RangeProfile(estimate), int(iterations), float(final), STOP_REASONS[code])
 
 
 def stack_of_one(plan: SamplingPlan, dither: Optional[Dither], measurements: np.ndarray) -> tuple:
@@ -356,9 +365,9 @@ def stack_of_one(plan: SamplingPlan, dither: Optional[Dither], measurements: np.
 def estimate(algorithm: str, plan: SamplingPlan, config: QuantizerConfig, dither: Optional[Dither],
              measurements: np.ndarray, recovery: RecoveryConfig) -> tuple:
     """PBP or QIHT on (T, M) stacks: estimates (T, N), iterations run (T,), final consistency (T,) and
-    stop reasons (list of T), row i exactly what :func:`qiht` gives for trial i.  PBP runs 0 iterations
-    with None stop reasons and a None final consistency: that costs one more :func:`sense`, which a
-    caller that wants it pays through :func:`consistency`.
+    stop codes (T,), row i exactly what :func:`qiht` gives for trial i; STOP_REASONS[code] is the stop
+    reason.  PBP runs 0 iterations with None stop codes and a None final consistency: that costs one
+    more :func:`sense`, which a caller that wants it pays through :func:`consistency`.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
@@ -367,4 +376,4 @@ def estimate(algorithm: str, plan: SamplingPlan, config: QuantizerConfig, dither
     if algorithm == "qiht":
         return _qiht_batch(plan, config, dither, measurements, recovery)
     estimates = pbp(plan, measurements, recovery.sparsity)
-    return estimates, np.zeros(len(estimates), dtype=int), None, [None] * len(estimates)
+    return estimates, np.zeros(len(estimates), dtype=int), None, None

@@ -39,7 +39,7 @@ from qcsradar.quantization import (
     Dither, QuantizerConfig, acquire, adapted_quantizer, draw_dither, quantize_complex, sense,
 )
 from qcsradar.recovery import (
-    RecoveryConfig, RecoveryResult, StopReason, _row_norms, _scores, estimate, hard_threshold, pbp, qiht,
+    STOP_REASONS, RecoveryConfig, RecoveryResult, StopReason, _row_norms, _scores, estimate, hard_threshold, pbp, qiht,
 )
 from qcsradar.signal_model import SamplingPlan, adjoint, forward, make_sampling_plan, random_profile
 
@@ -174,14 +174,14 @@ class TestBatchedQiht:
         recovery = RecoveryConfig(sparsity=3, max_iters=30)
         inputs = y.tobytes(), stacked.dynamic_range.tobytes()
         run_batch, run_single = BATCHES[batch]
-        estimates, iterations, final, reasons = run_batch(plan, stacked, dither, y, recovery)
+        estimates, iterations, final, codes = run_batch(plan, stacked, dither, y, recovery)
         assert (y.tobytes(), stacked.dynamic_range.tobytes()) == inputs  # the batch works in its own arrays
         for i in range(12):
             single = run_single(plans[i], quantizers[i], dithers[i] if dithered else None, y[i], recovery)
             assert estimates[i].tobytes() == single.estimate.amplitudes.tobytes()
             assert iterations[i] == single.iterations_run
             assert (final is None and single.final_consistency is None) or final[i] == single.final_consistency
-            assert reasons[i] == single.stop_reason
+            assert (codes is None and single.stop_reason is None) or STOP_REASONS[codes[i]] is single.stop_reason
 
     @pytest.mark.parametrize(
         "bit_depth, dithered, batch",
@@ -202,8 +202,8 @@ class TestBatchedQiht:
 
     def test_chunk_rows_stop_for_every_reason(self):
         *_, plan, stacked, dither, y = stacked_chunk(32, 32, 3, 1, range(12))
-        _, iterations, _, reasons = estimate("qiht", plan, stacked, dither, y, RecoveryConfig(sparsity=3, max_iters=30))
-        assert set(reasons) == set(StopReason)
+        _, iterations, _, codes = estimate("qiht", plan, stacked, dither, y, RecoveryConfig(sparsity=3, max_iters=30))
+        assert codes.dtype == np.int8 and {STOP_REASONS[code] for code in codes} == set(StopReason)
         assert max(iterations) == 30 and min(iterations) < 20  # budget and early perfect consistency
 
     @pytest.mark.parametrize("dithered", [True, False], ids=["dithered", "undithered"])
@@ -646,6 +646,44 @@ class TestWorkerPool:
         assert child.returncode == 0 and len(lines) == 7, out
         assert [line.startswith(refusal) for line in lines] == [True, True, False, False, True, True, False]
         assert lines[2] == lines[6] == "2" and lines[3] == "True"
+
+    def test_a_refused_copy_shuts_down_its_pool(self):
+        # A held replaced copy can never feed its pool again: the refusal
+        # shuts the pool down rather than keep its idle workers until exit.
+        code = (
+            "import gc, os, sys\n"
+            "gc.disable()\n"
+            "def fresh():\n"
+            "    for name in [m for m in sys.modules if m.split('.')[0] == 'qcsradar']:\n"
+            "        del sys.modules[name]\n"
+            "    from qcsradar import evaluation\n"
+            "    return evaluation\n"
+            "def alive(pid):\n"
+            "    try:\n"
+            "        os.kill(pid, 0)\n"
+            "    except ProcessLookupError:\n"
+            "        return False\n"
+            "    return True\n"
+            "held = fresh()\n"
+            "config = held.ExperimentConfig(n_bins=64, bitrates=(2048, 8192), trials=30)\n"
+            "held.run_grid(config, max_workers=2)\n"
+            "pids = list(held._pool[2]._processes)\n"
+            "print(len(pids), all(map(alive, pids)), flush=True)\n"
+            "fresh()\n"
+            "try:\n"
+            "    held.run_grid(config, max_workers=2)\n"
+            "except RuntimeError as exc:\n"
+            "    print(type(exc).__name__, flush=True)\n"
+            "print(held._pool is None, any(map(alive, pids)), flush=True)\n"
+        )
+        child = _python(code)
+        try:
+            out, _ = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            child.kill()
+            child.communicate()
+            raise
+        assert child.returncode == 0 and out.splitlines() == ["2 True", "RuntimeError", "True False"], out
 
 
     @pytest.mark.parametrize("method", ["forkserver", "spawn"])

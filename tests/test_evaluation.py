@@ -69,6 +69,23 @@ class TestRunTrial:
             assert outcome.hits.tolist() == [2]
             assert outcome.l2_error[0] < 1e-10
 
+    @pytest.mark.parametrize("n_bins", [64, 256])
+    def test_unquantized_reference_is_exact_at_full_sampling(self, n_bins):
+        # Noiseless unquantized measurements at M >= N observe every bin, so QIHT
+        # recovers every trial, with or without a remainder of a ramp.  PBP does
+        # only at whole ramps, or for one target: it weights a remainder's bins
+        # once more than the rest, so the other targets' sidelobes do not cancel.
+        for sparsity in (1, 2, 10):
+            for n_meas in (n_bins, n_bins + 3, 2 * n_bins, 2 * n_bins + 5):
+                for algorithm in ("qiht", "pbp"):
+                    point = GridPoint(sparsity, None, 32 * n_meas, False, algorithm)
+                    outcomes = run_trials(point, range(20), master_seed=5, n_bins=n_bins)
+                    if algorithm == "pbp" and n_meas % n_bins and sparsity > 1:
+                        assert outcomes.l2_error.min() > 1e-14
+                    else:
+                        assert outcomes.hits.tolist() == [sparsity] * 20
+                        assert outcomes.l2_error.max() < 1e-14
+
     def test_profiles_shared_across_depths_and_algorithms(self):
         # common random numbers: the profile sub-seed depends only on
         # (n_bins, K, trial); the plan sub-seed only on (n_bins, M, trial)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import brute
+import qcsradar.recovery as recovery_module
 from qcsradar.quantization import Dither, acquire, adapted_quantizer, draw_dither, sense, QuantizerConfig
 from qcsradar.recovery import (
     MIN_STOP_ITERS,
@@ -235,6 +236,41 @@ class TestQIHT:
                 j, StopReason.CONSISTENCY_TARGET, 1.0)
             assert result.estimate.amplitudes.tobytes() == current.tobytes()
         assert max(stopped_early) > 0 and len(stopped_early) >= 6
+
+    def test_a_repeating_iterate_skips_the_rest_of_the_budget(self, monkeypatch):
+        # Unquantized rows that never reach a zero residual settle on an iterate
+        # that repeats its bytes.  Each returns at once what running out its
+        # budget returns: the best iterate seen, counted as the whole budget.
+        n, m, k = 32, 64, 2
+        budget = RecoveryConfig(sparsity=k).resolved_max_iters()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return adjoint(*args, **kwargs)
+
+        budget_rows = 0
+        for seed in range(12):
+            plan = make_sampling_plan(n, m, seed=derive_seed(seed, "plan"))
+            y = forward(plan, random_profile(n, k, rng=derive_seed(seed, "prof")))
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(recovery_module, "adjoint", counted)
+                result = qiht(plan, QuantizerConfig(None, 1.0), None, y, RecoveryConfig(sparsity=k))
+            if result.stop_reason is not StopReason.BUDGET:
+                continue
+            budget_rows += 1
+            assert result.iterations_run == budget and len(calls) < 2 * MIN_STOP_ITERS
+            current = best = pbp(plan, y, k).amplitudes
+            best_score = -np.linalg.norm(y - forward(plan, current))
+            for _ in range(budget):
+                current = hard_threshold(current + 1.0 / m * adjoint(plan, y - forward(plan, current)), k)
+                score = -np.linalg.norm(y - forward(plan, current))
+                if score > best_score:
+                    best, best_score = current, score
+            assert result.estimate.amplitudes.tobytes() == best.tobytes()
+            assert result.final_consistency == np.count_nonzero(y == forward(plan, best)) / m
+        assert budget_rows >= 3
 
     def test_iterates_stay_sparse(self):
         for seed in range(10):
