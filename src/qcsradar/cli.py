@@ -30,7 +30,7 @@ from .io import (
     write_capture,
     write_results,
 )
-from .quantization import Dither, acquire, check_bit_depth, decode_bit_depth, encode_bit_depth
+from .quantization import acquire, check_bit_depth, decode_bit_depth, encode_bit_depth
 from .recovery import ALGORITHMS, STOP_REASONS, RecoveryConfig, consistency, estimate, stack_of_one
 from .seeding import derive_seed
 from .signal_model import RadarParams, RangeProfile, bin_number, bin_to_range, make_sampling_plan, random_profile
@@ -234,11 +234,13 @@ def _cmd_gen_capture(args) -> int:
         for path in (args.out, _sidecar_path(args.out)):  # before the first draw, so that a bad path leaves no file
             check_output_path(path, "capture")
         profile = random_profile(args.n, args.sparsity, derive_seed(args.seed, "capture-profile"))
-        plan = make_sampling_plan(args.n, args.meas, derive_seed(args.seed, "capture-plan"))
-    quantizer, dither, samples = acquire(plan, args.bits, args.dithered, derive_seed(args.seed, "capture-dither"), profile)
-    if args.dither_values and dither is not None:  # an unseeded dither is written as its values
-        dither = Dither(dither.values)
-    capture = Capture(plan=plan, quantizer=quantizer, dither=dither, samples=samples, radar=radar)
+        plan_seed = derive_seed(args.seed, "capture-plan")
+        plan = make_sampling_plan(args.n, args.meas, plan_seed)
+    dither_seed = derive_seed(args.seed, "capture-dither")
+    quantizer, dither, samples = acquire(plan, args.bits, args.dithered, dither_seed, profile)
+    if args.dither_values or dither is None:  # a dither without its seed is written as its values
+        dither_seed = None
+    capture = Capture(plan, quantizer, dither, samples, radar, plan_seed, dither_seed)
     sidecar = write_capture(args.out, capture)
 
     report = {

@@ -3,10 +3,11 @@
 A capture is a pair of files: ``<path>`` holds interleaved I/Q samples as
 32-bit little-endian IEEE-754 floats, and ``<path>.json`` is a sidecar with
 everything needed to replay the measurements through the recovery pipeline
-(sampling plan, quantizer, dither as a seed or explicit values, radar ramp
-parameters).  Quantized payloads are snapped back onto the exact float64
-quantization grid on read, so consistency checks against re-quantized
-estimates remain exact after the float32 round trip.
+(sampling plan and its seed, quantizer, dither as a seed or explicit values,
+radar ramp parameters); the seeds are :class:`Capture`'s own fields.
+Quantized payloads are snapped back onto the exact float64 quantization grid
+on read, so consistency checks against re-quantized estimates remain exact
+after the float32 round trip.
 
 The sidecar is encoded by one ``json.dumps`` call and written in one call;
 explicit dither values survive its round trip bit for bit, signed zeros
@@ -157,13 +158,14 @@ def write_results(results, path) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Capture:
-    """A replayable acquisition: plan, quantizer, dither, samples, radar.
+    """A replayable acquisition: plan, quantizer, dither, samples, radar, and the seeds that drew them.
 
     The capture validation boundary: one plan (1-D ``omega``), one finite
     sample per measurement, a bit depth a float32 payload holds, a dither
     only on a quantized capture with one finite value per measurement (what
-    its seed draws, if seeded), an ``omega`` that its plan seed draws (if
-    seeded), and the radar's ``n_bins`` equal to the plan's.  A capture
+    ``dither_seed`` draws, if seeded), an ``omega`` that ``plan_seed`` draws
+    (if seeded), and the radar's ``n_bins`` equal to the plan's.  A seed is
+    None for arrays no seed drew, such as a rig's recorded dither.  A capture
     built in Python and one read from files meet the same checks with the
     same messages, so no capture that cannot be read back is ever written.
     The samples are stored as a read-only complex128 copy, so they stay as
@@ -175,31 +177,33 @@ class Capture:
     dither: Optional[Dither]
     samples: np.ndarray
     radar: RadarParams
+    plan_seed: Optional[int] = None
+    dither_seed: Optional[int] = None
 
     def __post_init__(self):
-        samples, dither = _readonly(self.samples, np.complex128), self.dither
-        if self.plan.omega.ndim != 1:
+        samples, dither, plan = _readonly(self.samples, np.complex128), self.dither, self.plan
+        if plan.omega.ndim != 1:
             raise ValueError("a capture holds one sampling plan, not a stack")
-        # A seeded plan is written with its seed, so its omega must be what the seed draws.
-        plan = self.plan
-        drawn = None if plan.seed is None else make_sampling_plan(plan.n_bins, plan.n_meas, plan.seed)
+        # A plan seed is written next to omega, so omega must be what the seed draws.
+        drawn = None if self.plan_seed is None else make_sampling_plan(plan.n_bins, plan.n_meas, self.plan_seed)
         if drawn is not None and not np.array_equal(drawn.omega, plan.omega):
-            raise ValueError(f"omega is not what its plan seed {plan.seed} draws")
+            raise ValueError(f"omega is not what its plan seed {self.plan_seed} draws")
         if samples.shape != (self.plan.n_meas,):
             raise ValueError(f"sample count {samples.shape} does not match n_meas={self.plan.n_meas}")
         check_capture_bit_depth(self.quantizer.bit_depth)
-        if dither is not None and not self.quantizer.quantized:
+        dithered = dither is not None or self.dither_seed is not None
+        if dithered and not self.quantizer.quantized:
             raise ValueError("unquantized capture cannot carry a dither")
         if self.radar.n_bins != self.plan.n_bins:
             raise ValueError(f"radar n_bins={self.radar.n_bins} differs from the plan's n_bins={self.plan.n_bins}")
         if not np.isfinite(samples).all():
             raise ValueError("payload holds non-finite samples")
-        if dither is not None and (dither.values.shape != samples.shape or not np.isfinite(dither.values).all()):
+        if dithered and (dither is None or dither.values.shape != samples.shape or not np.isfinite(dither.values).all()):
             raise ValueError(f"dither must hold {self.plan.n_meas} finite values")
-        if dither is not None and dither.seed is not None:
+        if self.dither_seed is not None:
             # A seeded dither is written as its seed, so its values must be what the seed draws.
-            if draw_dither(self.quantizer, self.plan.n_meas, dither.seed).values.tobytes() != dither.values.tobytes():
-                raise ValueError(f"dither values are not those its seed {dither.seed} draws on this quantizer")
+            if draw_dither(self.quantizer, plan.n_meas, self.dither_seed).values.tobytes() != dither.values.tobytes():
+                raise ValueError(f"dither values are not those its seed {self.dither_seed} draws on this quantizer")
         object.__setattr__(self, "samples", samples)
 
 
@@ -216,21 +220,21 @@ def _sidecar_path(path) -> str:
 def write_capture(path, capture: Capture) -> str:
     """Write payload and sidecar; returns the sidecar path.
 
-    Only encodes: the capture passed its checks when it was built.  A seeded
-    dither is stored as its seed plus step (regenerable), an unseeded one
-    as its values: a rig that recorded its physical dither rather than
-    synthesizing it builds its capture with an unseeded one.  If either
+    Only encodes: the capture passed its checks when it was built.  A dither
+    is stored as its ``dither_seed`` plus step (regenerable), or as its values
+    when the capture has no dither seed, as a rig's recorded one.  A plan
+    seed is stored next to ``omega``, and none is made up.  If either
     file cannot be written, the call removes what it wrote and raises one
     ``io:`` error that names that file.
     """
     plan = capture.plan
     dither_field = None
     if capture.dither is not None:
-        if capture.dither.seed is None:
+        if capture.dither_seed is None:
             dither_field = {"values": capture.dither.values.view(np.float64).reshape(-1, 2).tolist()}
         else:
             dither_field = {
-                "seed": capture.dither.seed,
+                "seed": int(capture.dither_seed),
                 "delta": capture.quantizer.step,
             }
 
@@ -249,8 +253,8 @@ def write_capture(path, capture: Capture) -> str:
             "n_bins": capture.radar.n_bins,
         },
     }
-    if plan.seed is not None:  # a plan drawn from no seed records none
-        sidecar["plan_seed"] = plan.seed
+    if capture.plan_seed is not None:  # a plan drawn from no seed records none
+        sidecar["plan_seed"] = int(capture.plan_seed)
     # json.dump would stream through the pure-Python encoder, one write per token.
     text = json.dumps(sidecar, sort_keys=True) + "\n"
     files = ((path, capture.samples.astype("<c8").tobytes()), (_sidecar_path(path), text.encode("utf-8")))
@@ -388,17 +392,17 @@ def read_capture(path) -> Capture:
     try:
         if "omega" in sidecar:
             omega = np.asarray(sidecar["omega"], dtype=np.int64)
-            plan = SamplingPlan(n_bins=n_bins, n_meas=n_meas, omega=omega, seed=plan_seed)
+            plan = SamplingPlan(n_bins=n_bins, n_meas=n_meas, omega=omega)
         else:
             plan = make_sampling_plan(n_bins, n_meas, plan_seed)
         quantizer = QuantizerConfig(bit_depth=bit_depth, dynamic_range=dynamic_range)
         radar = RadarParams(**radar_fields)
         dither = None
         if dither_seed is not None:
-            # A seed draws on a quantizer's grid; without one, Capture rejects the undrawn dither.
-            dither = draw_dither(quantizer, n_meas, dither_seed) if quantizer.quantized else Dither((), dither_seed)
+            # A seed draws on a quantizer's grid; without one, Capture rejects the undrawn seed.
+            dither = draw_dither(quantizer, n_meas, dither_seed) if quantizer.quantized else None
         elif dither_field is not None:
-            dither = Dither(values=_dither_values(dither_field["values"], n_meas), seed=None)
+            dither = Dither(values=_dither_values(dither_field["values"], n_meas))
         if len(payload) != 8 * n_meas:
             raise ValueError(
                 f"payload holds {len(payload) // 8} samples ({len(payload)} bytes), sidecar says n_meas={n_meas}"
@@ -409,7 +413,7 @@ def read_capture(path) -> Capture:
         # Capture rejects non-finite samples, which have no cell; it is built once, as it redraws a seeded dither.
         if quantizer.quantized and np.isfinite(samples).all():
             samples, deviation = _snap_to_grid(samples, quantizer.step)
-        capture = Capture(plan=plan, quantizer=quantizer, dither=dither, samples=samples, radar=radar)
+        capture = Capture(plan, quantizer, dither, samples, radar, plan_seed, dither_seed)
     except (TypeError, ValueError, OverflowError) as exc:
         raise _capture_error(str(exc)) from None
 

@@ -30,8 +30,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .seeding import _seed_array, seed_rows
-from .signal_model import ProfileLike, SamplingPlan, _Owned, _readonly, forward
+from .seeding import seed_rows
+from .signal_model import ProfileLike, SamplingPlan, _readonly, _unchecked, forward
 
 __all__ = [
     "UNQUANTIZED_BITS",
@@ -114,19 +114,16 @@ class QuantizerConfig:
 class Dither:
     """Complex dither vector; real/imag parts uniform on (-delta/2, delta/2).
 
-    Unseeded (T, M) values stack the dithers of T trials.  A seed is a draw
-    seed, in [0, 2**64), so a stored dither seed still draws.
+    (T, M) values stack the dithers of T trials.  A dither holds no seed: a
+    capture records the seed that drew its dither (``io.Capture.dither_seed``).
     """
 
     values: np.ndarray
-    seed: Optional[int] = None
 
     def __post_init__(self):
         vals = _readonly(self.values, np.complex128)
-        if vals.ndim != 1 and (vals.ndim != 2 or self.seed is not None):
-            raise ValueError("dither values must be a 1-D complex vector (or an unseeded stack)")
-        if self.seed is not None:
-            _seed_array([self.seed])
+        if vals.ndim not in (1, 2):
+            raise ValueError("dither values must be a 1-D complex vector (or a stack)")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -176,9 +173,8 @@ def adapted_quantizer(measurements: np.ndarray, bit_depth: Optional[int], dither
 def draw_dither(config: QuantizerConfig, n_meas: int, seed) -> Dither:
     """Draw 2*n_meas i.i.d. uniforms on (-delta/2, delta/2); deterministic per seed.
 
-    A sequence of T seeds draws an unseeded (T, M) stack whose row i is the
-    dither of seed i, sized by row i of a (T, 1) column of steps (or by one
-    shared step).
+    A sequence of T seeds draws a (T, M) stack whose row i is the dither of
+    seed i, sized by row i of a (T, 1) column of steps (or by one shared step).
     """
     if not config.quantized:
         raise ValueError("dither is only defined for quantized configurations")
@@ -197,7 +193,7 @@ def draw_dither(config: QuantizerConfig, n_meas: int, seed) -> Dither:
         parts *= half + half
         parts += -half
     values.flags.writeable = False
-    return Dither(values=_Owned(values), seed=None) if stacked else Dither(values=_Owned(values[0]), seed=int(seed))
+    return _unchecked(Dither, values=values if stacked else values[0])
 
 
 def acquire(

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .quantization import Dither, QuantizerConfig, sense
-from .signal_model import RangeProfile, SamplingPlan, _Owned, _output, _unchecked_plan, adjoint
+from .signal_model import RangeProfile, SamplingPlan, _output, _unchecked, _unchecked_plan, adjoint
 
 __all__ = [
     "ALGORITHMS",
@@ -141,10 +141,11 @@ def hard_threshold(values: np.ndarray, sparsity: int, out: Optional[np.ndarray] 
         keep[slow] = kept
     out = _output(out, v.shape)
     kept_out = out.reshape(-1, n)
-    if np.may_share_memory(kept_out, rows):  # in place: zero only the bins not kept
-        np.copyto(kept_out, rows, where=keep)
+    if out is values:  # in place: the kept bins are already there, so zero only the rest
         np.copyto(kept_out, 0, where=np.logical_not(keep, out=keep))
     else:
+        if np.may_share_memory(kept_out, rows):  # any other overlap: read the input before the fill
+            rows = rows.copy()
         kept_out.fill(0)
         np.copyto(kept_out, rows, where=keep)
     return out
@@ -313,7 +314,7 @@ def _qiht_batch(
                 xi = xi[:live]
                 frozen = xi.view()  # the Dither's view is read-only, as its values always are
                 frozen.flags.writeable = False
-                dither = Dither(_Owned(frozen))
+                dither = _unchecked(Dither, values=frozen)
         prev_score = score
     return estimates, iterations, final, codes
 
@@ -358,8 +359,8 @@ def stack_of_one(plan: SamplingPlan, dither: Optional[Dither], measurements: np.
     if plan.omega.ndim != 1:
         raise ValueError("a single trial takes a 1-D plan and a trial axis is extra: pass stacks to estimate")
     y = np.asarray(measurements, dtype=np.complex128)
-    stacked_dither = None if dither is None else Dither(_Owned(dither.values[None]))
-    return _unchecked_plan(plan.n_bins, plan.n_meas, plan.omega[None], None, plan._ramps), stacked_dither, y[None]
+    stacked_dither = None if dither is None else _unchecked(Dither, values=dither.values[None])
+    return _unchecked_plan(plan.n_bins, plan.n_meas, plan.omega[None], plan._ramps), stacked_dither, y[None]
 
 
 def estimate(algorithm: str, plan: SamplingPlan, config: QuantizerConfig, dither: Optional[Dither],

@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .seeding import _seed_array, seed_rows
+from .seeding import seed_rows
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -47,30 +47,27 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 ProfileLike = Union["RangeProfile", np.ndarray]
 
 
-class _Owned:
-    """An array a draw has just made and set read-only, handed over without a copy.
-
-    Only the package wraps arrays this way, and only arrays no caller holds
-    a writable reference to; anything else a dataclass is given is copied.
-    """
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray):
-        self.array = array
-
-
 def _readonly(value, dtype) -> np.ndarray:
-    """A read-only ``dtype`` copy of ``value``, or the array a draw hands over as :class:`_Owned`.
+    """A read-only ``dtype`` copy of ``value``.
 
     A caller's array is always copied, whatever its flags say: its owner can
     make it writable again, and later writes must not reach the copy.
     """
-    if isinstance(value, _Owned):
-        return value.array
     arr = np.array(value, dtype=dtype, copy=True)
     arr.flags.writeable = False
     return arr
+
+
+def _unchecked(cls, **fields):
+    """A ``cls`` of ``fields`` whose maker knows they pass its checks, built without checks or copies.
+
+    Only the package builds values this way, and only of read-only arrays
+    no caller holds a writable reference to, such as a draw has just made.
+    """
+    value = object.__new__(cls)
+    for name, field in fields.items():
+        object.__setattr__(value, name, field)
+    return value
 
 
 @dataclass(frozen=True)
@@ -137,13 +134,13 @@ class SamplingPlan:
 
     ``omega`` is a multiset of M frequency indices in {0..N-1}.  Order is
     preserved so each measurement stays paired with its dither component.
-    A (T, M) ``omega`` stacks the plans of T trials; a stack needs no seed.
+    A (T, M) ``omega`` stacks the plans of T trials.  A plan holds no seed:
+    a capture records the seed that drew its plan (``io.Capture.plan_seed``).
     """
 
     n_bins: int
     n_meas: int
     omega: np.ndarray
-    seed: Optional[int]
 
     def __post_init__(self):
         omega = _readonly(self.omega, np.int64)
@@ -155,8 +152,6 @@ class SamplingPlan:
             raise ValueError("n_meas must be >= 1")
         if omega.size and (omega.min() < 0 or omega.max() >= self.n_bins):
             raise ValueError("omega indices must lie in [0, n_bins)")
-        if self.seed is not None:
-            _seed_array([self.seed])  # a draw seed, in [0, 2**64), so a stored plan seed still draws
         object.__setattr__(self, "omega", omega)
         n = self.n_bins
         blocks = omega[..., : omega.shape[-1] // n * n].reshape(omega.shape[:-1] + (-1, n))
@@ -182,14 +177,12 @@ class SamplingPlan:
         """
         omega = self.omega[rows] if self._flat.shape[-1] else self.omega[: len(rows)]
         omega.flags.writeable = False
-        return _unchecked_plan(self.n_bins, self.n_meas, omega, None, self._ramps)
+        return _unchecked_plan(self.n_bins, self.n_meas, omega, self._ramps)
 
 
-def _unchecked_plan(n_bins: int, n_meas: int, omega: np.ndarray, seed: Optional[int], ramps: int) -> SamplingPlan:
+def _unchecked_plan(n_bins: int, n_meas: int, omega: np.ndarray, ramps: int) -> SamplingPlan:
     """A plan of read-only ``omega`` whose indices and ``ramps`` leading whole ramps its maker knows, unchecked."""
-    plan = object.__new__(SamplingPlan)
-    for name, value in (("n_bins", n_bins), ("n_meas", n_meas), ("omega", omega), ("seed", seed)):
-        object.__setattr__(plan, name, value)
+    plan = _unchecked(SamplingPlan, n_bins=n_bins, n_meas=n_meas, omega=omega)
     plan._set_ramps(ramps)
     return plan
 
@@ -217,9 +210,7 @@ def make_sampling_plan(n_bins: int, n_meas: int, seed) -> SamplingPlan:
         partial.sort(axis=1)
     omega.flags.writeable = False  # nothing else holds it: the plan keeps it uncopied
     # The indices are drawn in [0, N) and the first ``full`` ramps are whole, so nothing is re-checked.
-    if stacked:
-        return _unchecked_plan(n_bins, n_meas, omega, None, full)
-    return _unchecked_plan(n_bins, n_meas, omega[0], int(seed), full)
+    return _unchecked_plan(n_bins, n_meas, omega if stacked else omega[0], full)
 
 
 def _as_amplitudes(profile: ProfileLike, plan: SamplingPlan) -> np.ndarray:
@@ -333,7 +324,7 @@ def random_profile(n_bins: int, sparsity: int, rng):
     np.put_along_axis(amps, support, moduli * np.exp(1j * phases), axis=1)
     amps /= np.max(np.abs(amps), axis=1, keepdims=True)
     amps.flags.writeable = False
-    return amps if stacked else RangeProfile(amplitudes=_Owned(amps[0]))
+    return amps if stacked else _unchecked(RangeProfile, amplitudes=amps[0])
 
 
 def bin_to_range(params: RadarParams, bin_index: int) -> float:

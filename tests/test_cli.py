@@ -184,6 +184,17 @@ class TestRecover:
         assert code == 1 and stdout == ""
         assert stderr == f"error: capture: omega is not what its plan seed {wrong} draws\n"
 
+    def test_unquantized_sidecar_with_an_out_of_range_dither_seed_rejected(self, tmp_path, capsys):
+        # Without a grid the seed is never drawn, so the dither is refused, not the seed's range.
+        out = tmp_path / "cap.iq"
+        run_cli(capsys, "gen-capture", "--out", str(out), "--n", "64", "--meas", "256", "--seed", "3")
+        sidecar = json.loads((tmp_path / "cap.iq.json").read_text())
+        dither = dict(sidecar["dither"], seed=2**64 + 7)
+        (tmp_path / "cap.iq.json").write_text(json.dumps(dict(sidecar, bit_depth="unquantized", dither=dither)))
+        code, stdout, stderr = run_cli(capsys, "recover", "--capture", str(out), "--sparsity", "2")
+        assert code == 1 and stdout == ""
+        assert stderr == "error: capture: unquantized capture cannot carry a dither\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

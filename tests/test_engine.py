@@ -48,7 +48,7 @@ def stacked_chunk(n, m, k, bit_depth, trials, dithered=True):
     """A chunk of trials with their own plans, quantizer steps and dithers."""
     truth = np.stack([random_profile(n, k, 10 * t).amplitudes for t in trials])
     plans = [make_sampling_plan(n, m, 10 * t + 1) for t in trials]
-    plan = SamplingPlan(n, m, np.stack([p.omega for p in plans]), None)
+    plan = SamplingPlan(n, m, np.stack([p.omega for p in plans]))
     quantizers = [adapted_quantizer(raw, bit_depth, dithered) for raw in forward(plan, truth)]
     dithers = [draw_dither(q, m, 10 * t + 2) for q, t in zip(quantizers, trials)] if dithered else None
     stacked = QuantizerConfig(bit_depth, np.array([[q.dynamic_range] for q in quantizers]))
@@ -62,7 +62,7 @@ class TestBatchedKernels:
         rng = np.random.default_rng(3)
         n, m = 12, 30  # two full ramps plus a partial one
         plans = [make_sampling_plan(n, m, seed) for seed in range(5)]
-        plan = SamplingPlan(n, m, np.stack([p.omega for p in plans]), None)
+        plan = SamplingPlan(n, m, np.stack([p.omega for p in plans]))
         a = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
         y = rng.normal(size=(5, m)) + 1j * rng.normal(size=(5, m))
         fwd, adj = forward(plan, a), adjoint(plan, y)
@@ -77,7 +77,7 @@ class TestBatchedKernels:
         n = 12
         a = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
         for m in (7, 24, 30):  # below a ramp, two ramps, and a remainder
-            plan = SamplingPlan(n, m, np.stack([make_sampling_plan(n, m, seed).omega for seed in range(5)]), None)
+            plan = SamplingPlan(n, m, np.stack([make_sampling_plan(n, m, seed).omega for seed in range(5)]))
             assert forward(plan, spectrum=np.fft.fft(a)).tobytes() == forward(plan, a).tobytes()
         with pytest.raises(ValueError):
             forward(plan)
@@ -96,12 +96,12 @@ class TestBatchedKernels:
             (make_sampling_plan(n, 7, 1), 0),
             (make_sampling_plan(n, n, 2), 1),
             (make_sampling_plan(n, 2 * n, 3), 2),
-            (SamplingPlan(n, 2 * n + 3, np.concatenate([ramp, ramp, [5, 5, 2]]), None), 2),
-            (SamplingPlan(n, n + 3, np.concatenate([permuted, [0, 4, 9]]), None), 0),
-            (SamplingPlan(n, 2 * n, np.concatenate([[3] * n, ramp]), None), 0),
+            (SamplingPlan(n, 2 * n + 3, np.concatenate([ramp, ramp, [5, 5, 2]])), 2),
+            (SamplingPlan(n, n + 3, np.concatenate([permuted, [0, 4, 9]])), 0),
+            (SamplingPlan(n, 2 * n, np.concatenate([[3] * n, ramp])), 0),
             (make_sampling_plan(n, 2 * n + 3, range(4)), 2),
-            (SamplingPlan(n, 2 * n, np.tile(np.concatenate([ramp, [7] * n]), (3, 1)), None), 1),
-            (SamplingPlan(n, 2 * n, np.stack([np.tile(ramp, 2), np.concatenate([permuted, ramp])]), None), 0),
+            (SamplingPlan(n, 2 * n, np.tile(np.concatenate([ramp, [7] * n]), (3, 1))), 1),
+            (SamplingPlan(n, 2 * n, np.stack([np.tile(ramp, 2), np.concatenate([permuted, ramp])])), 0),
         ]
         for plan, ramps in cases:
             assert plan._ramps == ramps
@@ -131,11 +131,6 @@ class TestBatchedKernels:
         for row, got in zip(values, out):
             assert np.array_equal(got, brute.hard_threshold_sorted(list(row), 4))
         assert np.array_equal(hard_threshold(np.ones((2, 5)), 2), [[1, 1, 0, 0, 0]] * 2)
-
-    def test_stacked_dither_needs_no_seed(self):
-        with pytest.raises(ValueError):
-            Dither(values=np.zeros((2, 3), complex), seed=4)
-        assert Dither(values=np.zeros((2, 3), complex)).n_meas == 3
 
     @pytest.mark.parametrize("n", [1, 3, 256, 1000])
     @pytest.mark.parametrize("t", [1, 200])

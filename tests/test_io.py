@@ -144,19 +144,17 @@ class TestWriteResults:
 
 
 def _make_capture(seed=0, bit_depth=1, dithered=True, n=32, m=64, stored_values=False):
-    plan = make_sampling_plan(n, m, seed=derive_seed(seed, "plan"))
+    plan_seed, dither_seed = derive_seed(seed, "plan"), derive_seed(seed, "dith")
+    plan = make_sampling_plan(n, m, seed=plan_seed)
     profile = random_profile(n, 2, rng=derive_seed(seed, "prof"))
     raw = forward(plan, profile)
     quantizer = adapted_quantizer(raw, bit_depth, dithered and bit_depth is not None)
-    dither = (
-        draw_dither(quantizer, m, derive_seed(seed, "dith"))
-        if dithered and bit_depth is not None
-        else None
-    )
+    dither = draw_dither(quantizer, m, dither_seed) if dithered and bit_depth is not None else None
     samples = sense(plan, quantizer, dither, profile)
-    if stored_values and dither is not None:  # unseeded, as a recorded dither is: written as its values
-        dither = Dither(dither.values)
-    return Capture(plan=plan, quantizer=quantizer, dither=dither, samples=samples, radar=RADAR), profile
+    if stored_values or dither is None:  # without its seed, as a recorded dither is: written as its values
+        dither_seed = None
+    capture = Capture(plan, quantizer, dither, samples, RADAR, plan_seed=plan_seed, dither_seed=dither_seed)
+    return capture, profile
 
 
 class TestCaptureRoundTrip:
@@ -178,7 +176,7 @@ class TestCaptureRoundTrip:
         write_capture(path, capture)
         back = read_capture(path)
         np.testing.assert_array_equal(back.dither.values, capture.dither.values)
-        assert back.dither.seed is None
+        assert back.dither_seed is None
 
     def test_unquantized_round_trip_is_float32_faithful(self, tmp_path):
         capture, _ = _make_capture(seed=3, bit_depth=None, dithered=False)
@@ -287,7 +285,7 @@ class TestCaptureRoundTrip:
         text = json.dumps(sidecar, sort_keys=True) + "\n"
         (tmp_path / "c.iq.json").write_text(text)
         back = read_capture(path)
-        assert back.plan.seed is None
+        assert back.plan_seed is None
         np.testing.assert_array_equal(back.plan.omega, capture.plan.omega)
         write_capture(tmp_path / "again.iq", back)
         assert (tmp_path / "again.iq.json").read_text() == text
@@ -348,18 +346,17 @@ def test_round_trip_property(tmp_path):
     def check(bit_depth, dithered, store_values, seeded_plan, m, seed):
         capture, _ = _make_capture(seed=seed, bit_depth=bit_depth, dithered=dithered, m=m, stored_values=store_values)
         if not seeded_plan:
-            plan = capture.plan
-            capture = dataclasses.replace(capture, plan=SamplingPlan(plan.n_bins, plan.n_meas, plan.omega, None))
+            capture = dataclasses.replace(capture, plan_seed=None)
         write_capture(first, capture)
         back = read_capture(first)
         np.testing.assert_array_equal(back.plan.omega, capture.plan.omega)
-        assert back.plan.seed == capture.plan.seed
+        assert back.plan_seed == capture.plan_seed
         assert back.quantizer == capture.quantizer
         if capture.dither is None:
             assert back.dither is None
         else:
             assert back.dither.values.tobytes() == capture.dither.values.tobytes()
-            assert back.dither.seed == capture.dither.seed
+            assert back.dither_seed == capture.dither_seed
         stored = capture.samples if bit_depth is not None else capture.samples.astype(np.complex64)
         assert back.samples.tobytes() == stored.astype(np.complex128).tobytes()
         assert back.radar == capture.radar
@@ -375,21 +372,40 @@ def test_round_trip_property(tmp_path):
     [
         (lambda c: {"samples": np.concatenate([[complex(np.nan, 0.0)], c.samples[1:]])}, "non-finite samples"),
         (lambda c: {"radar": dataclasses.replace(c.radar, n_bins=64)}, "radar n_bins=64 differs"),
-        (lambda c: {"dither": Dither(c.dither.values[:-1], seed=None)}, "dither must hold 64 finite values"),
+        (lambda c: {"dither": Dither(c.dither.values[:-1])}, "dither must hold 64 finite values"),
         (lambda c: {"quantizer": QuantizerConfig(None, c.quantizer.dynamic_range)}, "unquantized capture cannot carry"),
         (lambda c: {"samples": c.samples[:-1]}, "sample count"),
         (lambda c: {"quantizer": QuantizerConfig(CAPTURE_MAX_BITS + 1, c.quantizer.dynamic_range)}, "bit depth 23"),
-        (lambda c: {"plan": SamplingPlan(32, 64, np.stack([c.plan.omega] * 2), None)}, "one sampling plan"),
+        (lambda c: {"plan": SamplingPlan(32, 64, np.stack([c.plan.omega] * 2))}, "one sampling plan"),
         # Written as its seed alone, it would read back with the seed's values.
-        (lambda c: {"dither": Dither(c.dither.values[::-1], seed=c.dither.seed)}, "not those its seed"),
+        (lambda c: {"dither": Dither(c.dither.values[::-1])}, "not those its seed"),
         (lambda c: {"quantizer": QuantizerConfig(1, 2 * c.quantizer.dynamic_range)}, "not those its seed"),
+        # A dither seed is written in place of values, so it needs the values it draws, and a grid to draw on.
+        (lambda c: {"dither": None}, "dither must hold 64 finite values"),
+        (lambda c: {"quantizer": QuantizerConfig(None, c.quantizer.dynamic_range), "dither": None},
+         "unquantized capture cannot carry"),
+        (lambda c: {"dither": Dither(c.dither.values[None])}, "dither must hold 64 finite values"),
     ],
     ids=[
         "nan-sample", "radar-bins", "short-dither", "unquantized-dither", "sample-count", "b23", "stacked-plan",
-        "seeded-values-reversed", "seeded-values-of-another-step",
+        "seeded-values-reversed", "seeded-values-of-another-step", "seed-without-dither",
+        "unquantized-dither-seed", "stacked-dither",
     ],
 )
 def test_invalid_capture_rejected_at_construction(fields, fragment):
     capture, _ = _make_capture(seed=15)
     with pytest.raises(ValueError, match=fragment):
         dataclasses.replace(capture, **fields(capture))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64 + 7, 2.5])
+@pytest.mark.parametrize("field", ["plan_seed", "dither_seed"])
+def test_seed_must_be_a_draw_seed(field, seed):
+    # A capture writes its seeds, and reading draws from them again; m=45 draws a plan, as a whole ramp would not.
+    capture, profile = _make_capture(seed=18, m=45)
+    with pytest.raises(ValueError, match="draw seeds must be integers"):
+        dataclasses.replace(capture, **{field: seed})
+    top = 2**64 - 1
+    plan, dither = make_sampling_plan(32, 45, top), draw_dither(capture.quantizer, 45, top)
+    edge = Capture(plan, capture.quantizer, dither, sense(plan, capture.quantizer, dither, profile), RADAR, top, top)
+    assert (edge.plan_seed, edge.dither_seed) == (top, top)

@@ -52,8 +52,8 @@ def assert_operators_exact(n, omega, rng):
     t, m = omega.shape
     amps = with_special_rows(scaled(rng, (t, n)))
     y = with_special_rows(scaled(rng, (t, m)))
-    stacked = SamplingPlan(n, m, omega, None)
-    cases = [(SamplingPlan(n, m, row, None), row, a, meas) for row, a, meas in zip(omega, amps, y)]
+    stacked = SamplingPlan(n, m, omega)
+    cases = [(SamplingPlan(n, m, row), row, a, meas) for row, a, meas in zip(omega, amps, y)]
     cases.append((stacked, omega, amps, y))
     for plan, w, a, meas in cases:
         want_fwd = brute.forward_gather(w, a, n).tobytes()
@@ -96,16 +96,16 @@ def test_capture_omegas_equal_references(n):
 
 def test_plan_counts_leading_whole_ramps():
     ramp = np.arange(4)
-    assert SamplingPlan(4, 8, np.tile(ramp, 2), None)._ramps == 2
-    assert SamplingPlan(4, 11, np.concatenate([ramp, ramp, [3, 3, 0]]), None)._ramps == 2
-    assert SamplingPlan(4, 8, np.concatenate([ramp[::-1], ramp]), None)._ramps == 0
-    assert SamplingPlan(4, 3, [0, 1, 2], None)._ramps == 0
+    assert SamplingPlan(4, 8, np.tile(ramp, 2))._ramps == 2
+    assert SamplingPlan(4, 11, np.concatenate([ramp, ramp, [3, 3, 0]]))._ramps == 2
+    assert SamplingPlan(4, 8, np.concatenate([ramp[::-1], ramp]))._ramps == 0
+    assert SamplingPlan(4, 3, [0, 1, 2])._ramps == 0
     # A stack counts the ramps every row shares.
-    assert SamplingPlan(4, 8, [np.tile(ramp, 2), np.concatenate([ramp, ramp[::-1]])], None)._ramps == 1
+    assert SamplingPlan(4, 8, [np.tile(ramp, 2), np.concatenate([ramp, ramp[::-1]])])._ramps == 1
 
 
 def test_out_must_be_a_contiguous_complex_array_of_the_result_shape():
-    plan = SamplingPlan(4, 8, np.tile(np.arange(4), 2), None)
+    plan = SamplingPlan(4, 8, np.tile(np.arange(4), 2))
     for bad in (np.empty(7, complex), np.empty(8), np.empty(16, complex)[::2]):
         with pytest.raises(ValueError, match="out must be"):
             forward(plan, np.ones(4), out=bad)

@@ -247,17 +247,14 @@ def random_profile_like(n_bins, seed):
 
 class TestDitherType:
     def test_values_readonly(self):
-        dither = Dither(values=np.array([0.1 + 0.1j]), seed=1)
+        dither = Dither(values=np.array([0.1 + 0.1j]))
         with pytest.raises(ValueError):
             dither.values[0] = 0.0
 
-    def test_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            Dither(values=np.zeros((2, 2), complex), seed=1)
-
-    @pytest.mark.parametrize("seed", [-1, 2**64 + 7, 2.5])
-    def test_seed_must_be_a_draw_seed(self, seed):
-        # A capture writes the seed alone, and reading draws from it again.
-        with pytest.raises(ValueError, match="draw seeds must be integers"):
-            Dither(values=np.zeros(3, complex), seed=seed)
-        assert Dither(values=np.zeros(3, complex), seed=2**64 - 1).seed == 2**64 - 1
+    def test_rejects_more_than_a_stack(self):
+        # A (T, M) stack is T trials' dithers; a capture takes only one (test_io's stacked-dither case).
+        with pytest.raises(ValueError, match="1-D complex vector"):
+            Dither(values=np.zeros((2, 2, 2), complex))
+        with pytest.raises(ValueError, match="1-D complex vector"):
+            Dither(values=np.complex128(1.0))
+        assert Dither(values=np.zeros((2, 3), complex)).n_meas == 3

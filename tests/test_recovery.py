@@ -109,6 +109,9 @@ class TestHardThresholdByPartition:
             inplace = rows.copy()
             hard_threshold(inplace[2], k, out=inplace[2])  # one row of a stack, written over itself
             assert inplace[2].tobytes() == want[2 * 32 * 16 : 3 * 32 * 16]
+            buffer = np.append(rows.reshape(-1), 7.0)  # out one value past the input it overlaps
+            shifted = buffer[1:].reshape(rows.shape)
+            assert hard_threshold(buffer[:-1].reshape(rows.shape), k, out=shifted).tobytes() == want
 
     def test_nan_row_keeps_its_numbers_then_its_lowest_nans(self):
         nan = complex(np.nan, 0.0)
@@ -440,7 +443,7 @@ class TestStridedAndAliasedInput:
         rng = np.random.default_rng(9)
         n, t = 16, 5
         omega = np.stack([np.arange(n) if ramp == "whole" else rng.permutation(n) for _ in range(t)])
-        plan = SamplingPlan(n, n, omega, None)
+        plan = SamplingPlan(n, n, omega)
         y = rng.normal(size=(t, n)) + 1j * rng.normal(size=(t, n))
         y[0, ::3] = complex(1.0, np.inf)
         y[1, 1::4] = complex(np.nan, -2.0)

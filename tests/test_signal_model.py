@@ -59,13 +59,13 @@ class TestSamplingPlan:
 
     def test_validates_omega(self):
         with pytest.raises(ValueError):
-            SamplingPlan(n_bins=4, n_meas=2, omega=np.array([0, 4]), seed=0)
+            SamplingPlan(n_bins=4, n_meas=2, omega=np.array([0, 4]))
         with pytest.raises(ValueError):
-            SamplingPlan(n_bins=4, n_meas=3, omega=np.array([0, 1]), seed=0)
+            SamplingPlan(n_bins=4, n_meas=3, omega=np.array([0, 1]))
         with pytest.raises(ValueError, match="n_meas must be >= 1"):  # as make_sampling_plan requires
-            SamplingPlan(n_bins=4, n_meas=0, omega=np.array([], dtype=np.int64), seed=None)
+            SamplingPlan(n_bins=4, n_meas=0, omega=np.array([], dtype=np.int64))
         with pytest.raises(ValueError, match="n_bins must be >= 1"):
-            SamplingPlan(n_bins=0, n_meas=2, omega=np.array([0, 0]), seed=None)
+            SamplingPlan(n_bins=0, n_meas=2, omega=np.array([0, 0]))
 
 
 class TestForwardAdjoint:
@@ -80,13 +80,13 @@ class TestForwardAdjoint:
         np.testing.assert_array_equal(forward(plan, np.zeros(8, complex)), np.zeros(5))
 
     def test_forward_repeated_frequency(self):
-        plan = SamplingPlan(n_bins=4, n_meas=2, omega=np.array([2, 2]), seed=0)
+        plan = SamplingPlan(n_bins=4, n_meas=2, omega=np.array([2, 2]))
         e1 = np.zeros(4, complex)
         e1[1] = 1.0
         np.testing.assert_allclose(forward(plan, e1), [-1, -1], atol=1e-14)
 
     def test_adjoint_repeated_frequency(self):
-        plan = SamplingPlan(n_bins=4, n_meas=2, omega=np.array([2, 2]), seed=0)
+        plan = SamplingPlan(n_bins=4, n_meas=2, omega=np.array([2, 2]))
         np.testing.assert_allclose(adjoint(plan, np.ones(2, complex)), [2, -2, 2, -2], atol=1e-13)
 
     def test_adjoint_zero(self):

@@ -87,14 +87,14 @@ class TestStackedDraws:
     )
     def test_plan_rows_are_single_seed_plans(self, n_bins, n_meas):
         stack = make_sampling_plan(n_bins, n_meas, SEEDS)
-        assert stack.omega.shape == (len(SEEDS), n_meas) and stack.seed is None
+        assert stack.omega.shape == (len(SEEDS), n_meas)
         for row, seed in zip(stack.omega, SEEDS):
             single = make_sampling_plan(n_bins, n_meas, seed)
-            assert same_bits(row, single.omega) and single.seed == seed
+            assert same_bits(row, single.omega)
             assert same_bits(row, reference_omega(n_bins, n_meas, seed))
         # Drawn plans are built unchecked: they equal the checked plan of their indices.
         for drawn in (stack, make_sampling_plan(n_bins, n_meas, SEEDS[1])):
-            checked = SamplingPlan(n_bins, n_meas, drawn.omega, drawn.seed)
+            checked = SamplingPlan(n_bins, n_meas, drawn.omega)
             assert drawn._ramps == checked._ramps == n_meas // n_bins
             assert same_bits(drawn.omega, checked.omega) and same_bits(drawn._flat, checked._flat)
 
@@ -106,10 +106,10 @@ class TestStackedDraws:
     )
     def test_dither_rows_are_single_seed_dithers(self, bit_depth, n_meas, rows):
         stack, singles = rows(bit_depth, n_meas)
-        assert stack.values.shape == (len(SEEDS), n_meas) and stack.seed is None
+        assert stack.values.shape == (len(SEEDS), n_meas)
         shared = draw_dither(QuantizerConfig(bit_depth, 2.5), n_meas, SEEDS)
         for i, (seed, single) in enumerate(zip(SEEDS, singles)):
-            assert same_bits(stack.values[i], single.values) and single.seed == seed
+            assert same_bits(stack.values[i], single.values)
             assert same_bits(shared.values[i], draw_dither(QuantizerConfig(bit_depth, 2.5), n_meas, seed).values)
 
     def test_dither_matches_two_uniform_draws(self):
@@ -250,9 +250,9 @@ class TestDefensiveCopies:
         omega = np.array([[0, 3], [1, 1]])
         dither = np.array([0.1 + 0.2j, -0.3j])
         profile = RangeProfile(amps)
-        plan = SamplingPlan(n_bins=4, n_meas=2, omega=omega, seed=None)
+        plan = SamplingPlan(n_bins=4, n_meas=2, omega=omega)
         stacked = Dither(np.vstack([dither, dither]))
-        single = Dither(dither, seed=1)
+        single = Dither(dither)
         amps[:] = 9
         omega[:] = 2
         dither[:] = 5
@@ -264,7 +264,7 @@ class TestDefensiveCopies:
         # The caller still owns the array and can make it writable again.
         a = np.zeros(3, complex)
         a.flags.writeable = False
-        d = Dither(a, seed=1)
+        d = Dither(a)
         a.flags.writeable = True
         a[0] = 1
         assert not d.values.any() and not d.values.flags.writeable
