@@ -45,7 +45,6 @@ import multiprocessing
 import os
 import sys
 import threading
-import weakref
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import util as mp_util
 from dataclasses import dataclass
@@ -103,8 +102,6 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 # pool's threads.
 _pool = None
 _pool_lock = threading.Lock()
-# This module, weakly: a fresh import of the package discards it, and its pool with it.
-_module = weakref.ref(sys.modules[__name__])
 
 
 @dataclass(frozen=True)
@@ -359,24 +356,18 @@ def trial_blocks(config: ExperimentConfig, workers: int) -> list:
 def _aggregate(point: GridPoint, chunks) -> AggregateResult:
     """Aggregate the point's chunk outcomes, given in trial order.
 
-    The sums add one Python float at a time in trial order: ``np.sum`` adds
-    pairwise and the builtin ``sum`` compensates (from Python 3.12), and
-    either would change the last bits of the results.
+    The three sums (TPR, squared TPR, l2 error) are ``np.add.accumulate``'s
+    last values, which add one value at a time in trial order: ``np.sum``
+    adds pairwise and the builtin ``sum`` compensates (from Python 3.12), and
+    either would change the last bits of the results.  The values are
+    non-negative, so starting from the first rather than 0.0 changes no bit.
     """
-    n = 0
-    tpr_sum = tpr_sq_sum = l2_sum = 0.0
-    for outcomes in chunks:
-        n += len(outcomes.hits)
-        for trial_tpr, l2_error in zip((outcomes.hits / point.sparsity).tolist(), outcomes.l2_error.tolist()):
-            tpr_sum += trial_tpr
-            tpr_sq_sum += trial_tpr * trial_tpr
-            l2_sum += l2_error
+    outcomes = TrialOutcomes(*map(np.concatenate, zip(*chunks)))
+    tpr, n = outcomes.hits / point.sparsity, len(outcomes.hits)
+    tpr_sum, tpr_sq_sum, l2_sum = map(float, np.add.accumulate([tpr, tpr * tpr, outcomes.l2_error], axis=1)[:, -1])
     mean = tpr_sum / n
-    if n > 1:
-        var = max(0.0, (tpr_sq_sum - n * mean * mean) / (n - 1))
-        stderr = (var / n) ** 0.5
-    else:
-        stderr = 0.0
+    var = max(0.0, (tpr_sq_sum - n * mean * mean) / (n - 1)) if n > 1 else 0.0
+    stderr = (var / n) ** 0.5
     return AggregateResult(
         point=point,
         trials=n,
@@ -452,8 +443,8 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
     functions by name, and the name stands for another copy's.
     """
     global _pool
-    module = _module()
-    if module is None or sys.modules.get(__name__) is not module:
+    module = sys.modules.get(__name__)
+    if getattr(module, "__dict__", None) is not globals():
         if _pool is not None:
             _drop_pool(_pool[2], cancel_futures=False)
         raise RuntimeError(

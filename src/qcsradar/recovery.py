@@ -344,7 +344,8 @@ def qiht(
     strictly decreases (returning the best iterate so far); exhausting the
     budget also returns the best iterate seen, and so at once does a late
     iterate that repeats its bytes: the count (the budget) and the reason
-    follow the rule, not the work done.  With an unquantized configuration
+    follow the rule, not the work done.  Of rules that meet at one iteration
+    the target wins, then the drop.  With an unquantized configuration
     minus the residual norm replaces consistency as the stopping score, a
     zero residual is perfect (and the only score to reach the target), and
     the recursion is plain iterative hard thresholding.

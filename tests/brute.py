@@ -10,13 +10,19 @@ an index gather, one ``bincount`` per part and one inverse FFT), and
 :func:`profile_uniform`, the profile draw as a single trial made it with
 ``Generator.uniform``, kept as bit-exact references: a loop oracle agrees
 only to rounding, and the operators and draws must keep every bit, NaN and
-signed zero included.
+signed zero included.  :func:`qiht_trajectory` and :func:`qiht_rule`, the
+control-flow oracle of QIHT, run on those references and on the package's
+quantizer (``quantize_complex``), and share no code with its QIHT loop.
 """
 
 import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
+
+from qcsradar.quantization import quantize_complex
+from qcsradar.recovery import MIN_STOP_ITERS, STOP_REASONS, StopReason
 
 
 def forward_loop(omega, amplitudes, n_bins):
@@ -152,3 +158,90 @@ def iht_loop(omega, measurements, n_bins, sparsity, step_size, iterations, start
         moved = [e + step_size / m * g for e, g in zip(est, grad)]
         est = hard_threshold_sorted(moved, sparsity)
     return est
+
+
+class Trajectory(NamedTuple):
+    """Every QIHT iterate of one trial, from the start (iteration 0) to the budget."""
+
+    quantized: bool
+    iterates: list  # (N,) complex arrays
+    scores: list  # consistency, or unquantized minus the residual norm
+    consistencies: list  # fraction of measurements reproduced exactly
+
+
+class QihtOutcome(NamedTuple):
+    estimate: np.ndarray
+    final_consistency: float
+    code: int  # position in STOP_REASONS
+    count: int  # the iteration count QIHT reports
+    fixed_at: int  # the iteration at which the rule fixed the outcome
+
+
+def qiht_trajectory(omega, n_bins, config, dither_values, measurements, recovery):
+    """Run one QIHT trial through every iteration up to its budget, with no stop rule.
+
+    Iteration 0 is the back projection H_K(adjoint(y) / M); iteration j
+    is H_K(a + (mu/M) * adjoint(y - A(a))) of iteration j-1, where A is the
+    forward gather, the dither and ``config``'s quantizer.
+    """
+    y = np.asarray(measurements, dtype=np.complex128)
+    m, k, mu = len(omega), recovery.sparsity, recovery.step_size
+
+    def threshold(values):
+        return hard_threshold_argsort([values], k)[0]
+
+    def residual(a):
+        raw = forward_gather(omega, a, n_bins)
+        if not config.quantized:
+            return y - raw
+        return y - quantize_complex(config, raw if dither_values is None else raw + dither_values)
+
+    trajectory = Trajectory(config.quantized, [], [], [])
+    a = threshold(adjoint_bincount(omega, y, n_bins) / m)
+    for j in range(recovery.resolved_max_iters() + 1):
+        if j:
+            a = threshold(a + mu / m * adjoint_bincount(omega, r, n_bins))
+        r = residual(a)
+        matched = sum(1 for v in r.tolist() if v.real == 0.0 and v.imag == 0.0) / m
+        trajectory.iterates.append(a)
+        trajectory.consistencies.append(matched)
+        trajectory.scores.append(matched if config.quantized else -float(np.linalg.norm(r)))
+    return trajectory
+
+
+def qiht_rule(trajectory, recovery):
+    """QIHT's stop rule applied to a full trajectory, as ``recovery.qiht`` words it.
+
+    A perfect iterate (every measurement reproduced; unquantized, a zero
+    residual) stops at once, at any iteration, with itself.  From
+    MIN_STOP_ITERS on, the target (quantized only) stops with the current
+    iterate, a strict drop of the score with the best one, and an iterate
+    that repeats the previous one's bytes as the budget does.  The budget
+    returns the best iterate, counting the budget.  Of two rules at one
+    iteration, perfect or target wins over drop, and drop over the budget.
+    The best iterate is the first of the highest score, the start whatever
+    its score.
+    """
+    budget = recovery.resolved_max_iters()
+    scores = trajectory.scores
+    best = 0
+    for j in range(budget + 1):
+        if j and scores[j] > scores[best]:
+            best = j
+        late = j >= MIN_STOP_ITERS
+        perfect = scores[j] == (1.0 if trajectory.quantized else 0.0)
+        target = late and trajectory.quantized and scores[j] >= recovery.consistency_target
+        if perfect or target:
+            return _outcome(trajectory, j, StopReason.CONSISTENCY_TARGET, j, j)
+        if late and scores[j] < scores[j - 1]:
+            return _outcome(trajectory, best, StopReason.CONSISTENCY_DROP, j, j)
+        repeated = late and trajectory.iterates[j].tobytes() == trajectory.iterates[j - 1].tobytes()
+        if repeated or j == budget:
+            return _outcome(trajectory, best, StopReason.BUDGET, budget, j)
+    raise AssertionError("the trajectory ends before its budget")
+
+
+def _outcome(trajectory, kept, reason, count, fixed_at):
+    return QihtOutcome(
+        trajectory.iterates[kept], trajectory.consistencies[kept], STOP_REASONS.index(reason), count, fixed_at
+    )

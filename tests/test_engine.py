@@ -6,6 +6,7 @@ and bit for bit, against the single-trial path.
 """
 
 import itertools
+import math
 import multiprocessing
 import os
 import signal
@@ -417,6 +418,21 @@ class TestChunkedGrid:
         assert result.mean_tpr_pct == 100.0 * mean
         assert result.stderr_pct == 100.0 * ((tpr_sq_sum - 300 * mean * mean) / 299 / 300) ** 0.5
         assert result.mean_l2_error == l2_sum / 300
+
+    def test_aggregate_sums_in_trial_order_not_pairwise_or_exactly(self):
+        # 1e16 + 1.0 rounds back to 1e16, so adding the ones one at a time after
+        # it keeps 1e16, where pairwise and exact summation keep some of them.
+        l2 = np.array([1e16] + [1.0] * 200)
+        sequential = 1e16
+        assert len({sequential, float(np.sum(l2)), math.fsum(l2)}) == 3
+        point = GridPoint(2, 1, 64, True, "pbp")
+        chunks = [
+            TrialOutcomes(np.zeros(hi - lo, dtype=int), l2[lo:hi], np.zeros(hi - lo, dtype=int))
+            for lo, hi in [(0, 1), (1, 120), (120, 201)]
+        ]
+        result = _aggregate(point, chunks)
+        assert result.trials == 201
+        assert result.mean_l2_error == sequential / 201
 
 
 # Two sparsities of 30 trials at N = 64: blocks for 2 and 3 workers.
