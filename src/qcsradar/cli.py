@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .ambiguity import ambiguity_report
-from .evaluation import ExperimentConfig, run_grid
+from .evaluation import ExperimentConfig, _acquisition_seeds, _profile_seeds, run_grid
 from .io import (
     Capture,
     _sidecar_path,
@@ -32,7 +32,6 @@ from .io import (
 )
 from .quantization import acquire, check_bit_depth, decode_bit_depth, encode_bit_depth
 from .recovery import ALGORITHMS, STOP_REASONS, RecoveryConfig, consistency, estimate, stack_of_one
-from .seeding import derive_seed
 from .signal_model import RadarParams, RangeProfile, bin_number, bin_to_range, make_sampling_plan, random_profile
 
 __all__ = ["main"]
@@ -120,7 +119,7 @@ def _add_gen_capture(subparsers):
     p.add_argument("--bits", type=_bit_depth, default=1, help="bit depth per component, or 'unquantized'")
     p.add_argument("--dithered", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--sparsity", type=int, default=2, help="number of targets K")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=int, default=0, help="master seed; the capture is trial 0 of its sweep point")
     p.add_argument("--store-dither-values", dest="dither_values", action="store_true",
                    help="embed dither values instead of the seed")
     p.add_argument("--f0", type=float, default=24.125e9, help="carrier frequency (Hz)")
@@ -233,10 +232,9 @@ def _cmd_gen_capture(args) -> int:
         )
         for path in (args.out, _sidecar_path(args.out)):  # before the first draw, so that a bad path leaves no file
             check_output_path(path, "capture")
-        profile = random_profile(args.n, args.sparsity, derive_seed(args.seed, "capture-profile"))
-        plan_seed = derive_seed(args.seed, "capture-plan")
+        profile = random_profile(args.n, args.sparsity, _profile_seeds(args.sparsity, [0], args.seed, args.n)[0])
+        (plan_seed,), (dither_seed,) = _acquisition_seeds(args.meas, args.bits, [0], args.seed, args.n)
         plan = make_sampling_plan(args.n, args.meas, plan_seed)
-    dither_seed = derive_seed(args.seed, "capture-dither")
     quantizer, dither, samples = acquire(plan, args.bits, args.dithered, dither_seed, profile)
     if args.dither_values or dither is None:  # a dither without its seed is written as its values
         dither_seed = None

@@ -7,6 +7,7 @@ depend only on the quantities that should vary them — profiles on
 (K, trial), plans on (M, trial), dithers on (M, b, trial) — so curves that
 differ only in bit-rate or algorithm are compared on common random numbers,
 mirroring the exact saturation plateaus of undithered quantization.
+``gen-capture --seed s`` writes trial 0 of its point under master seed s.
 
 Trials run in blocks (:func:`run_block`): a block is a range of consecutive
 trials run at every point of one sparsity.  Its profiles are the same at
@@ -241,11 +242,12 @@ class AggregateResult:
 def trial_seeds(point: GridPoint, trial_indices, master_seed: int, n_bins: int = ExperimentConfig.n_bins) -> tuple:
     """(profile, plan, dither) sub-seed lists of the trials, one seed per trial each.
 
-    The common-random-numbers rule: profiles depend on (n_bins, K, trial),
-    plans on (n_bins, M, trial) and dithers on (n_bins, M, b, trial) only.
+    The common-random-numbers rule, which sweeps and ``gen-capture`` share:
+    profiles depend on (n_bins, K, trial), plans on (n_bins, M, trial) and
+    dithers on (n_bins, M, b, trial) only.
     """
     return (_profile_seeds(point.sparsity, trial_indices, master_seed, n_bins),) + _acquisition_seeds(
-        point, trial_indices, master_seed, n_bins
+        point.n_meas, point.bit_depth, trial_indices, master_seed, n_bins
     )
 
 
@@ -253,11 +255,10 @@ def _profile_seeds(sparsity: int, trial_indices, master_seed: int, n_bins: int) 
     return derive_seeds(master_seed, ("profile", n_bins, sparsity), trial_indices)
 
 
-def _acquisition_seeds(point: GridPoint, trial_indices, master_seed: int, n_bins: int) -> tuple:
-    m, b = point.n_meas, point.bit_depth
+def _acquisition_seeds(n_meas: int, bit_depth, trial_indices, master_seed: int, n_bins: int) -> tuple:
     return (
-        derive_seeds(master_seed, ("plan", n_bins, m), trial_indices),
-        derive_seeds(master_seed, ("dither", n_bins, m, b), trial_indices),
+        derive_seeds(master_seed, ("plan", n_bins, n_meas), trial_indices),
+        derive_seeds(master_seed, ("dither", n_bins, n_meas, bit_depth), trial_indices),
     )
 
 
@@ -280,7 +281,7 @@ def run_block(points, trial_indices, master_seed: int, n_bins: int, recovery: Re
     # T rows each: the profiles, then every point's plans and its dithers.
     seeds = _profile_seeds(k, trial_indices, master_seed, n_bins)
     for point in points:
-        for point_seeds in _acquisition_seeds(point, trial_indices, master_seed, n_bins):
+        for point_seeds in _acquisition_seeds(point.n_meas, point.bit_depth, trial_indices, master_seed, n_bins):
             seeds += point_seeds
     stack = SeedStack(seeds)
     truth = random_profile(n_bins, k, stack[:t])

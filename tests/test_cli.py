@@ -7,6 +7,7 @@ import pytest
 
 from qcsradar import cli
 from qcsradar.cli import main
+from qcsradar.evaluation import GridPoint, run_trial
 
 
 def run_cli(capsys, *argv):
@@ -279,6 +280,57 @@ class TestRecover:
         code, stdout, stderr = run_cli(capsys, "recover", "--capture", str(out), "--sparsity", "2")
         assert code == 1 and stdout == ""
         assert stderr.startswith(f"error: capture: bit depth {bits} is finer") and stderr.count("\n") == 1
+
+
+def _profile(scene, n_bins):
+    """The length-N profile of a gen-capture or recover report: its amplitudes on its support."""
+    profile = np.zeros(n_bins, dtype=complex)
+    profile[scene["support_indices"]] = [complex(re, im) for re, im in scene["amplitudes"]]
+    return profile
+
+
+# The K=10, M=32 QIHT rows (below one ramp, so a step above 1) diverge until
+# they overflow and run their whole budget; they return their best finite iterate.
+diverging_qiht_rows = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+)
+
+
+@pytest.mark.parametrize(
+    "n_bins, n_meas, bits, dithered, sparsity",
+    [
+        (256, 256, 1, True, 2),
+        (256, 256, 2, False, 10),
+        pytest.param(256, 32, 1, True, 10, marks=diverging_qiht_rows),
+        (256, 2048, 3, True, 2),
+        (64, 200, 1, True, 2),  # three whole ramps and part of a fourth
+        (64, 200, 3, False, 2),
+        (64, 48, 2, True, 1),
+        (256, 8192, 1, True, 2),
+    ],
+)
+def test_quantized_capture_replays_its_sweep_trial(tmp_path, capsys, n_bins, n_meas, bits, dithered, sparsity):
+    """``gen-capture --seed s`` then ``recover`` is trial 0 of the point's sweep under master seed s.
+
+    Hits, l2 error bytes and iteration count must all match ``run_trial``.
+    """
+    out = tmp_path / "cap.iq"
+    for seed in (5, 17, 1234):
+        code, stdout, _ = run_cli(
+            capsys, "gen-capture", "--out", str(out), "--n", str(n_bins), "--meas", str(n_meas), "--bits", str(bits),
+            "--dithered" if dithered else "--no-dithered", "--sparsity", str(sparsity), "--seed", str(seed),
+        )
+        assert code == 0
+        truth = json.loads(stdout)
+        for algo in ("pbp", "qiht"):
+            code, stdout, _ = run_cli(capsys, "recover", "--capture", str(out), "--algo", algo, "--sparsity", str(sparsity))
+            assert code == 0
+            report = json.loads(stdout)
+            hits = len(set(truth["support_indices"]) & set(report["support_indices"]))
+            l2 = np.linalg.norm(_profile(truth, n_bins) - _profile(report, n_bins))
+            trial = run_trial(GridPoint(sparsity, bits, bits * n_meas, dithered, algo), 0, seed, n_bins=n_bins)
+            got = (hits, l2.tobytes(), report["iterations"])
+            assert got == (trial.hits[0], trial.l2_error[0].tobytes(), trial.iterations[0]), (seed, algo)
 
 
 class TestBitDepthSpellings:

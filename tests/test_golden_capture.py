@@ -1,17 +1,20 @@
 """Capture files and recover reports pinned byte for byte, and the stored dither values codec.
 
 The files under ``tests/golden/captures/`` were written by ``gen-capture``
-with N=64, M=200 (three full ramps and a partial fourth), K=2 and seed 11,
-before the sidecar writer was rewritten; the writer must keep producing
-them exactly.  ``tests/golden/reports/<kind>.<algo>.json`` is the stdout of
-``recover --capture <kind>.iq --algo <algo> --sparsity 2`` on each of them,
-written before sweeps and the CLI shared one acquisition and one
-estimation path.
+with N=64, M=200 (three full ramps and a partial fourth), K=2 and master
+seed 11, once ``gen-capture`` drew with the sweep's seeds: each capture is
+trial 0 of its grid point under master seed 11.
+``tests/golden/reports/<kind>.<algo>.json`` is the output of ``recover
+--capture <kind>.iq --algo <algo> --sparsity 2`` on each of them, as the
+``recover`` of the commit before that change wrote it.  The writer and
+``recover`` must keep producing these files exactly.  They are regenerated
+only for a named stream change, by ``python tests/test_golden_capture.py``.
 """
 
 import json
 import math
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +40,10 @@ def gen_capture(path, flags):
     return main(argv + flags)
 
 
+def recover_argv(stem, algo):
+    return ["recover", "--capture", str(GOLDEN / f"{stem}.iq"), "--algo", algo, "--sparsity", "2"]
+
+
 def assert_same_files(path, stem):
     assert Path(path).read_bytes() == (GOLDEN / f"{stem}.iq").read_bytes()
     assert Path(f"{path}.json").read_bytes() == (GOLDEN / f"{stem}.iq.json").read_bytes()
@@ -60,7 +67,7 @@ def test_read_then_write_reproduces_golden_bytes(tmp_path, stem):
 @pytest.mark.parametrize("algo", ["pbp", "qiht"])
 @pytest.mark.parametrize("stem", [k[0] for k in KINDS])
 def test_recover_writes_golden_report(capsys, stem, algo):
-    assert main(["recover", "--capture", str(GOLDEN / f"{stem}.iq"), "--algo", algo, "--sparsity", "2"]) == 0
+    assert main(recover_argv(stem, algo)) == 0
     assert capsys.readouterr().out.encode() == (REPORTS / f"{stem}.{algo}.json").read_bytes()
 
 
@@ -127,3 +134,12 @@ def test_malformed_values_rejected_before_recovery(tmp_path, capsys, mutate):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: capture:") and captured.err.count("\n") == 1
+
+
+if __name__ == "__main__":
+    for stem, flags in KINDS:
+        if gen_capture(GOLDEN / f"{stem}.iq", flags):
+            sys.exit(f"gen-capture failed for {stem}")
+        for algo in ["pbp", "qiht"]:
+            if main(recover_argv(stem, algo) + ["--out", str(REPORTS / f"{stem}.{algo}.json")]):
+                sys.exit(f"recover failed for {stem}.{algo}")
